@@ -8,4 +8,9 @@ features, and event-conditioned evaluation metrics. The ``gazecast`` CLI
 chains these into a cached end-to-end run.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# library calls stay quiet unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

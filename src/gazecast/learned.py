@@ -509,16 +509,7 @@ def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, p
         predicted[issued, 1] = rec.y[issued] + vel.vy[issued] * dt_s
     else:
         raise ConfigError(f"unknown baseline kind {kind!r}")
-    mask = issued & _target_ok(rec, pi_ms)
-    return PredictionRun(predictor_id=kind, pi_ms=pi_ms, predicted=predicted, valid_mask=mask)
-
-
-def _target_ok(rec: GazeRecording, pi_ms: int) -> np.ndarray:
-    n = rec.n_samples
-    ok = np.zeros(n, dtype=bool)
-    if pi_ms < n:
-        ok[: n - pi_ms] = rec.valid[pi_ms:]
-    return ok
+    return PredictionRun.from_issued(rec, kind, pi_ms, predicted, issued)
 
 
 def lstm_predict_recording(
@@ -547,5 +538,4 @@ def lstm_predict_recording(
             predicted[sel, 1] = rec.y[sel] + disp[:, 1]
     issued = np.zeros(n, dtype=bool)
     issued[ends] = True
-    mask = issued & _target_ok(rec, pi_ms)
-    return PredictionRun(predictor_id="lstm", pi_ms=pi_ms, predicted=predicted, valid_mask=mask)
+    return PredictionRun.from_issued(rec, "lstm", pi_ms, predicted, issued)

@@ -253,30 +253,33 @@ def class_errors(records: Sequence[ErrorRecord], segs: Sequence[EventSegment]) -
 
     "cep" selects records inside post-saccadic windows regardless of their
     own event kind (the windows already stop at the next saccade or blink);
-    the other classes select by the record's target-sample label.
+    the other classes select by the record's target-sample label. A record
+    whose sample index lies outside the segments raises AlignmentError.
     """
     if not records:
         empty = np.empty(0, dtype=float)
         return {name: empty.copy() for name in EVENT_CLASSES}
-    if segs:
-        n = segs[-1].end_idx + 1
-        in_cep = np.zeros(n, dtype=bool)
-        for a, b in cep_intervals(segs):
-            in_cep[a : b + 1] = True
-    else:
-        in_cep = np.zeros(0, dtype=bool)
+    n = segs[-1].end_idx + 1 if segs else 0
+    idxs = np.array([r.sample_idx for r in records], dtype=int)
+    outside = (idxs < 0) | (idxs >= n)
+    if outside.any():
+        raise AlignmentError(
+            f"record sample_idx {int(idxs[outside][0])} lies outside the {n} segmented samples"
+        )
+    in_cep = np.zeros(n, dtype=bool)
+    for a, b in cep_intervals(segs):
+        in_cep[a : b + 1] = True
     err = np.array([r.error_dva for r in records], dtype=float)
     # compare by .value: numpy coerces a str-enum scalar via str(), which
     # yields the qualified name rather than the payload
     kinds = np.array([r.event_kind.value for r in records])
     cls = np.array([r.saccade_class for r in records])
-    idxs = np.array([r.sample_idx for r in records], dtype=int)
     sac = kinds == EventKind.SACCADE.value
     return {
         "fixation": err[kinds == EventKind.FIXATION.value],
         "small_saccade": err[sac & (cls == "small")],
         "large_saccade": err[sac & (cls == "large")],
-        "cep": err[in_cep[idxs]] if len(records) else err[:0],
+        "cep": err[in_cep[idxs]],
         "all": err,
     }
 

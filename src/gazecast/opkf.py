@@ -17,14 +17,19 @@ Two regimes, switched per sample by a zero-lookahead online labeler:
 
 Measurements are position plus a causal (right-edge) Savitzky-Golay
 velocity, so every prediction issued at time t depends only on samples <= t.
-The PI-ahead output propagates the posterior pi_ms steps holding the current
-regime. Per-subject plant parameters can be fitted by Nelder-Mead on a
-calibration slice of the subject's own saccades.
+A sample without a velocity estimate measures position alone. The
+measurement matrix therefore only selects the first one or two state rows:
+the update reads the innovation covariance and the gain off slices of the
+state covariance and inverts the 1x1 or 2x2 innovation covariance in closed
+form. The PI-ahead output propagates the posterior pi_ms steps holding the
+current regime. Per-subject plant parameters can be fitted by Nelder-Mead on
+a calibration slice of the subject's own saccades.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,38 +44,62 @@ from .errors import (
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
 from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
 
-H_POSVEL = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-H_POS = H_POSVEL[:1]
+log = logging.getLogger(__name__)
+
+_EYE4 = np.eye(4)
 
 
 # ---------------------------------------------------------------------------
-# generic Kalman core (works for any state dimension; mean may carry several
-# columns that share one covariance)
+# Kalman core: 4 states; the mean may carry several columns (one per axis)
+# that share one covariance
 
 
-def kalman_predict(mean, cov, phi, q):
-    mean = phi @ mean
-    cov = phi @ cov @ phi.T + q
-    return mean, 0.5 * (cov + cov.T)
+def kalman_predict(mean, cov, phi, phi_t, q):
+    """Time update; ``phi_t`` is ``phi.T``, passed in so callers transpose once."""
+    cov = phi @ cov @ phi_t + q
+    return phi @ mean, 0.5 * (cov + cov.T)
 
 
-def kalman_update(mean, cov, z, h, r):
-    """Measurement update in Joseph form; re-symmetrizes, jitters once if the
-    innovation covariance is not positive definite, and errors if that fails."""
-    s = h @ cov @ h.T + r
-    s = 0.5 * (s + s.T)
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        s = s + np.eye(s.shape[0]) * (1e-9 + 1e-9 * np.trace(s))
-        try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
+def _pd_inverse(s) -> np.ndarray | None:
+    """Closed-form inverse of a 1x1 or 2x2 matrix given as nested lists.
+
+    The matrix is re-symmetrized first. Returns None unless it is positive
+    definite (the condition under which a Cholesky factorization exists).
+    """
+    if len(s) == 1:
+        ((a,),) = s
+        return np.array([[1.0 / a]]) if a > 0 else None
+    (a, b), (c, d) = s
+    b = 0.5 * (b + c)
+    det = a * d - b * b
+    if a > 0 and det > 0:
+        return np.array([[d / det, -b / det], [-b / det, a / det]])
+    return None
+
+
+def kalman_update(mean, cov, z, r):
+    """Joseph-form update with ``z`` measuring the first ``len(z)`` state rows.
+
+    ``r`` is the (m, m) measurement noise. Because H only selects rows,
+    S = cov[:m, :m] + R, the gain is cov[:, :m] S^-1 and I - KH is the
+    identity with the gain subtracted from its first m columns. If S is not
+    positive definite it is jittered once by (1e-9 + 1e-9 trace S) I, which
+    is logged; if that does not help, InstabilityError.
+    """
+    m = len(z)
+    s = (cov[:m, :m] + r).tolist()
+    s_inv = _pd_inverse(s)
+    if s_inv is None:
+        jitter = 1e-9 + 1e-9 * sum(s[k][k] for k in range(m))
+        for k in range(m):
+            s[k][k] += jitter
+        s_inv = _pd_inverse(s)
+        if s_inv is None:
             raise InstabilityError("innovation covariance not positive definite")
-    gain = np.linalg.solve(s, h @ cov).T
-    innov = z - h @ mean
-    mean = mean + gain @ innov
-    ikh = np.eye(cov.shape[0]) - gain @ h
+        log.warning("innovation covariance not positive definite; added %.3g jitter", jitter)
+    gain = cov[:, :m] @ s_inv
+    mean = mean + gain @ (z - mean[:m])
+    ikh = _EYE4 - gain @ _EYE4[:m]
     cov = ikh @ cov @ ikh.T + gain @ r @ gain.T
     return mean, 0.5 * (cov + cov.T)
 
@@ -122,24 +151,6 @@ class OpkfConfig:
 
 
 @dataclass(frozen=True)
-class KalmanState:
-    """Per-axis means stacked as columns of a 4x2 matrix; shared covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != (4, 2) or self.cov.shape != (4, 4):
-            raise ConfigError("KalmanState needs mean (4, 2) and cov (4, 4)")
-
-    def position(self) -> np.ndarray:
-        return self.mean[0].copy()
-
-    def velocity(self) -> np.ndarray:
-        return self.mean[1].copy()
-
-
-@dataclass(frozen=True)
 class PredictionRun:
     """Predictions aligned so predicted[i] targets ground-truth sample i+PI."""
 
@@ -153,9 +164,30 @@ class PredictionRun:
         if self.predicted.shape != (n, 2):
             raise ConfigError("predicted must be (n, 2) aligned with valid_mask")
 
+    @classmethod
+    def from_issued(
+        cls,
+        rec: GazeRecording,
+        predictor_id: str,
+        pi_ms: int,
+        predicted: np.ndarray,
+        issued: np.ndarray,
+    ) -> PredictionRun:
+        """Run valid where a prediction was issued and its target sample
+        i+PI lies inside the recording and is valid."""
+        n = rec.n_samples
+        target_ok = np.zeros(n, dtype=bool)
+        if pi_ms < n:
+            target_ok[: n - pi_ms] = rec.valid[pi_ms:]
+        return cls(predictor_id, pi_ms, predicted, issued & target_ok)
+
 
 class _RegimeMatrices:
-    """Discrete transition/process matrices per regime plus PI-ahead rows."""
+    """Discrete transition/process matrices per regime plus PI-ahead rows.
+
+    ``step[saccade]`` is the (phi, phi.T, q) triple that ``kalman_predict``
+    takes.
+    """
 
     def __init__(self, cfg: OpkfConfig, pi_list: tuple[int, ...]):
         p = cfg.params
@@ -182,59 +214,19 @@ class _RegimeMatrices:
             self.pi_rows[(False, pi)] = np.linalg.matrix_power(self.phi_fix, pi)[0]
             self.pi_rows[(True, pi)] = np.linalg.matrix_power(self.phi_sac, pi)[0]
 
-    def pick(self, saccade: bool):
-        return (self.phi_sac, self.q_sac) if saccade else (self.phi_fix, self.q_fix)
+        self.step = {
+            False: (self.phi_fix, self.phi_fix.T, self.q_fix),
+            True: (self.phi_sac, self.phi_sac.T, self.q_sac),
+        }
 
 
-def _initial_state(z_pos: np.ndarray, r_pos: float) -> KalmanState:
+def _initial_state(z_pos: np.ndarray, r_pos: float) -> tuple[np.ndarray, np.ndarray]:
     mean = np.zeros((4, 2))
     mean[0] = z_pos
     mean[2] = z_pos
     mean[3] = -z_pos
     cov = np.diag([max(r_pos, 1e-6), 500.0**2, 25.0, 25.0])
-    return KalmanState(mean=mean, cov=cov)
-
-
-def opkf_step(
-    state: KalmanState | None,
-    z_pos: np.ndarray | None,
-    z_vel: np.ndarray | None,
-    event: EventKind,
-    cfg: OpkfConfig,
-    matrices: _RegimeMatrices | None = None,
-) -> tuple[KalmanState | None, np.ndarray | None]:
-    """One filter step: predict, update if measurable, emit the PI-ahead position.
-
-    ``state`` None means not yet initialized: the first valid position
-    initializes the filter. Invalid measurements (z_pos None) coast. Returns
-    (new state, predicted (x, y) at t+PI or None before initialization).
-    """
-    m = matrices if matrices is not None else _RegimeMatrices(cfg, (cfg.pi_ms,))
-    r_pos, r_vel = cfg.measurement_noise()
-
-    if state is None:
-        if z_pos is None:
-            return None, None
-        state = _initial_state(np.asarray(z_pos, dtype=float), r_pos)
-        mean, cov = state.mean, state.cov
-    else:
-        saccade = event is EventKind.SACCADE
-        phi, q = m.pick(saccade)
-        mean, cov = kalman_predict(state.mean, state.cov, phi, q)
-        if z_pos is not None:
-            if z_vel is not None:
-                z = np.vstack([z_pos, z_vel])
-                mean, cov = kalman_update(mean, cov, z, H_POSVEL, np.diag([r_pos, r_vel]))
-            else:
-                mean, cov = kalman_update(
-                    mean, cov, np.asarray(z_pos, dtype=float)[None, :], H_POS, np.array([[r_pos]])
-                )
-
-    if not np.all(np.isfinite(mean)):
-        raise InstabilityError("filter mean diverged")
-    new_state = KalmanState(mean=mean, cov=cov)
-    row = m.pi_rows[(event is EventKind.SACCADE, cfg.pi_ms)]
-    return new_state, row @ mean
+    return mean, cov
 
 
 def _labels_from_segments(segs: list[EventSegment], n: int) -> np.ndarray:
@@ -259,74 +251,57 @@ def opkf_predict_multi(
     regime_source="online" the event regime comes from a zero-lookahead
     labeler on that causal velocity; "segments" instead consumes the offline
     labels in ``segs`` (which look ahead, breaking causality — analysis use).
+    The filter starts at the first valid sample and issues a prediction at
+    every valid sample from there on.
     """
     n = rec.n_samples
     if vel is None:
         vel = compute_velocity(rec, DiffConfig(mode="causal"))
     if len(vel.vx) != n:
         raise ConfigError("velocity trace misaligned with recording")
+    sample_ok = rec.valid.tolist()
+    vel_ok = vel.valid.tolist()
     if cfg.regime_source == "segments":
         if segs is None:
             raise ConfigError('regime_source="segments" needs segs')
-        offline_saccade = _labels_from_segments(segs, n)
+        saccade = (_labels_from_segments(segs, n) & rec.valid).tolist()
     else:
-        offline_saccade = None
-    labeler = CausalLabeler(cfg.classifier)
+        labeler = CausalLabeler(cfg.classifier)
+        saccade = [
+            labeler.update(v_r, v_ok, s_ok) is EventKind.SACCADE
+            for v_r, v_ok, s_ok in zip(vel.v_radial.tolist(), vel_ok, sample_ok)
+        ]
 
     matrices = _RegimeMatrices(cfg, tuple(pi_list))
     r_pos, r_vel = cfg.measurement_noise()
     r_full = np.diag([r_pos, r_vel])
     r_pos_only = np.array([[r_pos]])
+    # z[i] = [[x, y], [vx, vy]]: the measured state rows of sample i
+    z = np.stack([np.column_stack([rec.x, rec.y]), np.column_stack([vel.vx, vel.vy])], axis=1)
 
-    preds = {pi: np.full((n, 2), np.nan) for pi in pi_list}
-    issued = np.zeros(n, dtype=bool)
-
-    mean = None
-    cov = None
-    for i in range(n):
-        sample_ok = bool(rec.valid[i])
-        vel_ok = bool(vel.valid[i])
-        v_r = float(vel.v_radial[i]) if vel_ok else float("nan")
-        if offline_saccade is not None:
-            event = EventKind.SACCADE if offline_saccade[i] else EventKind.FIXATION
-            if not sample_ok:
-                event = EventKind.BLINK
+    posterior = np.full((n, 4, 2), np.nan)
+    valid_idx = np.flatnonzero(rec.valid)
+    start = int(valid_idx[0]) if valid_idx.size else n
+    for i in range(start, n):
+        if i == start:
+            mean, cov = _initial_state(z[i, 0], r_pos)
         else:
-            event = labeler.update(v_r, vel_ok, sample_ok)
-        saccade = event is EventKind.SACCADE
-
-        if mean is None:
-            if not sample_ok:
-                continue
-            state = _initial_state(np.array([rec.x[i], rec.y[i]]), r_pos)
-            mean, cov = state.mean, state.cov
-        else:
-            phi, q = matrices.pick(saccade)
-            mean, cov = kalman_predict(mean, cov, phi, q)
-            if sample_ok:
-                z_pos = np.array([rec.x[i], rec.y[i]])
-                if vel_ok:
-                    z = np.vstack([z_pos, [vel.vx[i], vel.vy[i]]])
-                    mean, cov = kalman_update(mean, cov, z, H_POSVEL, r_full)
+            mean, cov = kalman_predict(mean, cov, *matrices.step[saccade[i]])
+            if sample_ok[i]:
+                if vel_ok[i]:
+                    mean, cov = kalman_update(mean, cov, z[i], r_full)
                 else:
-                    mean, cov = kalman_update(mean, cov, z_pos[None, :], H_POS, r_pos_only)
-
-        if not np.all(np.isfinite(mean)):
+                    mean, cov = kalman_update(mean, cov, z[i, :1], r_pos_only)
+        if not np.isfinite(mean).all():
             raise InstabilityError(f"filter diverged at sample {i}")
-        issued[i] = sample_ok
-        for pi in pi_list:
-            preds[pi][i] = matrices.pi_rows[(saccade, pi)] @ mean
+        posterior[i] = mean
 
+    in_saccade = np.array(saccade, dtype=bool)[:, None]
     runs = {}
     for pi in pi_list:
-        mask = issued.copy()
-        target_ok = np.zeros(n, dtype=bool)
-        if pi < n:
-            target_ok[: n - pi] = rec.valid[pi:]
-        mask &= target_ok
-        runs[pi] = PredictionRun(
-            predictor_id="opkf", pi_ms=pi, predicted=preds[pi], valid_mask=mask
-        )
+        rows = np.where(in_saccade, matrices.pi_rows[(True, pi)], matrices.pi_rows[(False, pi)])
+        predicted = np.einsum("nk,nkj->nj", rows, posterior)
+        runs[pi] = PredictionRun.from_issued(rec, "opkf", pi, predicted, rec.valid)
     return runs
 
 
@@ -470,7 +445,6 @@ def _params_from_log(base: PlantParams, theta: np.ndarray) -> PlantParams:
 
 def fit_subject_params(
     rec: GazeRecording,
-    vel: VelocityTrace | None,
     segs: list[EventSegment],
     base: PlantParams = DEFAULT_PARAMS,
     cfg: OpkfConfig = OpkfConfig(),
@@ -481,7 +455,8 @@ def fit_subject_params(
     The calibration slice is the first 40% of detected saccades plus a
     100 ms tail after each; the objective is the mean PI-ahead error over
     samples whose target time falls in that slice, filtering from the start
-    of the recording. Returns the fitted parameters only when they do not
+    of the recording with the filter's own causal velocity and online
+    regime labels. Returns the fitted parameters only when they do not
     score worse than the base set on calibration.
     """
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]

@@ -223,6 +223,18 @@ class TestClassErrors:
         split = M.class_errors([], [EventSegment(EventKind.FIXATION, 0, 99)])
         assert all(split[k].size == 0 for k in M.EVENT_CLASSES)
 
+    @pytest.mark.parametrize(
+        "idx, segs",
+        [
+            (5, []),
+            (100, [EventSegment(EventKind.FIXATION, 0, 99)]),
+            (-1, [EventSegment(EventKind.FIXATION, 0, 99)]),
+        ],
+    )
+    def test_record_outside_segments(self, idx, segs):
+        with pytest.raises(AlignmentError, match="outside"):
+            M.class_errors([self.record(idx, EventKind.FIXATION, "none", 0.1)], segs)
+
 
 class TestSaccadeProgressCurve:
     def make_records(self, segs, errors_by_idx):

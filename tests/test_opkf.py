@@ -1,0 +1,200 @@
+"""OPKF filter core, prediction pass, Nelder-Mead, and fit persistence."""
+
+import logging
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gazecast import opkf as O
+from gazecast.classify import EventKind, EventSegment
+from gazecast.errors import ConfigError, InstabilityError
+from gazecast.plant import DEFAULT_PARAMS
+from gazecast.signal import recording_from_arrays
+
+PIS = (20, 40, 60)
+
+# One 1.8 s synthetic subject (generate_cohort(SynthConfig(n_subjects=3,
+# duration_s=3.0, rng_seed=5))[1], samples 800-2600) with blinks injected at
+# [0, 15), [440, 470) and [1000, 1060), two saccades, and the offline
+# saccade segments of classify_events. The predictions and masks are the
+# output of the dense-matrix filter at commit aa8280d, before the
+# row-selecting rewrite; inputs are stored so the gate does not depend on
+# the plant simulator.
+REFERENCE = Path(__file__).parent / "data" / "opkf_reference.npz"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with np.load(REFERENCE) as data:
+        ref = dict(data)
+    rec = recording_from_arrays("ref", ref["x"], ref["y"], valid=ref["valid"])
+    segs = [EventSegment(EventKind.SACCADE, int(a), int(b)) for a, b in ref["saccades"]]
+    return ref, rec, segs
+
+
+@pytest.fixture(scope="module")
+def short_rec(reference):
+    """The first 600 reference samples: a leading blink, a saccade, a blink."""
+    _, rec, _ = reference
+    return recording_from_arrays("short", rec.x[:600], rec.y[:600], valid=rec.valid[:600])
+
+
+def predict(rec, **kw):
+    return O.opkf_predict_multi(rec, O.OpkfConfig(**kw), PIS)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("source", ["online", "segments"])
+    def test_matches_pre_rewrite_filter(self, reference, source):
+        ref, rec, segs = reference
+        runs = O.opkf_predict_multi(rec, O.OpkfConfig(regime_source=source), PIS, segs=segs)
+        for pi in PIS:
+            np.testing.assert_array_equal(runs[pi].valid_mask, ref[f"{source}_mask_{pi}"])
+            np.testing.assert_allclose(
+                runs[pi].predicted, ref[f"{source}_pred_{pi}"], rtol=0, atol=1e-12, equal_nan=True
+            )
+
+
+class TestFilterProperties:
+    @given(cut=st.integers(20, 598), seed=st.integers(0, 2**32 - 1), blank=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_causality(self, short_rec, cut, seed, blank):
+        rng = np.random.default_rng(seed)
+        n = short_rec.n_samples
+        x, y, valid = short_rec.x.copy(), short_rec.y.copy(), short_rec.valid.copy()
+        x[cut + 1 :] += rng.normal(0.0, 5.0, n - cut - 1)
+        y[cut + 1 :] += rng.normal(0.0, 5.0, n - cut - 1)
+        if blank:
+            valid[cut + 1 : cut + 30] = False
+        changed = recording_from_arrays("p", x, y, valid=valid)
+        base, pert = predict(short_rec), predict(changed)
+        for pi in PIS:
+            before = slice(0, cut + 1)
+            np.testing.assert_array_equal(base[pi].predicted[before], pert[pi].predicted[before])
+
+    @given(dx=st.floats(-20.0, 20.0), dy=st.floats(-20.0, 20.0))
+    @settings(max_examples=10, deadline=None)
+    def test_translation_equivariance(self, short_rec, dx, dy):
+        shifted = recording_from_arrays(
+            "s", short_rec.x + dx, short_rec.y + dy, valid=short_rec.valid
+        )
+        base, moved = predict(short_rec), predict(shifted)
+        for pi in PIS:
+            mask = base[pi].valid_mask
+            np.testing.assert_array_equal(mask, moved[pi].valid_mask)
+            diff = moved[pi].predicted[mask] - base[pi].predicted[mask]
+            shift = np.broadcast_to([dx, dy], diff.shape)
+            np.testing.assert_allclose(diff, shift, rtol=0, atol=1e-9)
+
+    @given(x0=st.floats(-20.0, 20.0), y0=st.floats(-20.0, 20.0))
+    @settings(max_examples=10, deadline=None)
+    def test_stationary_input_predicts_its_position(self, x0, y0):
+        rec = recording_from_arrays("c", np.full(300, x0), np.full(300, y0))
+        for run in predict(rec).values():
+            pred = run.predicted[run.valid_mask]
+            assert pred.shape[0] == 300 - run.pi_ms
+            here = np.broadcast_to([x0, y0], pred.shape)
+            np.testing.assert_allclose(pred, here, rtol=0, atol=1e-12)
+
+    def test_starts_at_first_valid_sample(self, short_rec):
+        run = predict(short_rec)[20]
+        first = int(np.flatnonzero(short_rec.valid)[0])
+        assert np.isnan(run.predicted[:first]).all()
+        assert np.isfinite(run.predicted[first:]).all()
+
+    def test_segments_source_needs_segments(self, short_rec):
+        with pytest.raises(ConfigError, match="segs"):
+            O.opkf_predict_multi(short_rec, O.OpkfConfig(regime_source="segments"), PIS)
+
+    def test_divergence_names_first_bad_sample(self):
+        x = np.zeros(200)
+        x[120] = np.inf  # marked valid, so the filter takes it as a measurement
+        rec = recording_from_arrays("d", x, np.zeros(200), valid=np.ones(200, dtype=bool))
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(InstabilityError, match="sample 120"):
+                predict(rec)
+
+
+def dense_update(mean, cov, z, r):
+    """Textbook Joseph-form update with an explicit H and a generic solve."""
+    m = len(z)
+    h = np.eye(4)[:m]
+    s = h @ cov @ h.T + r
+    gain = cov @ h.T @ np.linalg.inv(s)
+    ikh = np.eye(4) - gain @ h
+    new_cov = ikh @ cov @ ikh.T + gain @ r @ gain.T
+    return mean + gain @ (z - h @ mean), 0.5 * (new_cov + new_cov.T)
+
+
+class TestKalmanUpdate:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_form(self, seed, m):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4))
+        cov = a @ a.T + 0.1 * np.eye(4)
+        mean = rng.normal(size=(4, 2))
+        z = rng.normal(size=(m, 2))
+        r = np.diag(rng.uniform(0.01, 1.0, m))
+        got = O.kalman_update(mean, cov, z, r)
+        want = dense_update(mean, cov, z, r)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(got[1], got[1].T)
+
+    def test_singular_innovation_jitters_and_logs(self, caplog):
+        cov = np.diag([0.0, 1.0, 1.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="gazecast.opkf"):
+            mean, new_cov = O.kalman_update(
+                np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1))
+            )
+        jitter = [r for r in caplog.records if r.name == "gazecast.opkf"]
+        # S = 0 with a zero trace gets the 1e-9 floor
+        assert len(jitter) == 1 and "1e-09 jitter" in jitter[0].getMessage()
+        assert np.isfinite(mean).all() and np.isfinite(new_cov).all()
+
+    def test_negative_innovation_raises(self):
+        cov = np.diag([-1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(InstabilityError, match="positive definite"):
+            O.kalman_update(np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1)))
+
+    def test_indefinite_2x2_raises(self):
+        cov = np.eye(4)
+        cov[0, 1] = cov[1, 0] = 2.0  # det of the position/velocity block is -3
+        with pytest.raises(InstabilityError):
+            O.kalman_update(np.zeros((4, 2)), cov, np.ones((2, 2)), np.zeros((2, 2)))
+
+
+class TestNelderMead:
+    def test_quadratic(self):
+        target = np.array([1.5, -2.0, 0.5])
+        res = O.nelder_mead(lambda v: float(np.sum((v - target) ** 2)), np.zeros(3))
+        assert res.converged
+        np.testing.assert_allclose(res.x, target, atol=1e-4)
+        assert res.fun < 1e-8
+
+    def test_rosenbrock(self):
+        def rosen(v):
+            return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
+
+        res = O.nelder_mead(rosen, [-1.2, 1.0])
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
+        assert res.n_evals <= 1000
+
+
+class TestFitPersistence:
+    def test_round_trip(self, tmp_path):
+        fits = {
+            "S001": O.FitOutcome(
+                replace(DEFAULT_PARAMS, Kse=DEFAULT_PARAMS.Kse / 3.0), 0.25, 0.3, 120, True
+            ),
+            "S002": O.FitOutcome(DEFAULT_PARAMS, 0.4, 0.4, 200, False),
+        }
+        path = tmp_path / "fits.json"
+        O.save_fits(fits, path)
+        assert O.load_fits(path) == fits
