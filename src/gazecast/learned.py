@@ -5,13 +5,26 @@ displacement from the window end to the window end + PI. Everything here is
 plain numpy in float64: forward, backpropagation through time, and Adam are
 written out explicitly so the gradient can be checked against central finite
 differences.
+
+Each layer-step is one matmul and one tanh. A layer keeps its operand
+``[x_t, h_{t-1}, 1]`` in one buffer and multiplies it by the fused
+``[Wx | Wh | b]``, with the gate blocks reordered to [i, f, o, g] so the
+three sigmoid gates are contiguous. Since sigmoid(z) = 0.5 + 0.5 tanh(z/2)
+and halving is exact in binary floating point, the sigmoid rows of the fused
+matrix are halved once per call, and one tanh over the whole gate block
+followed by an in-place ``*0.5 + 0.5`` on the sigmoid block yields all four
+gates. Arrays are laid out feature-major with the batch last, so each gate
+block is contiguous. Training keeps the operands, activations and cell
+states of every step in preallocated arrays; BPTT overwrites each spent
+activation slot with its gate gradient, so each layer's weight gradient is
+one matmul over all T·B columns after the loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +48,11 @@ INPUT_SCALE = 1e-3
 # gate rows within each stacked (4*HIDDEN, .) LSTM matrix
 _I, _F, _G, _O = (slice(k * HIDDEN, (k + 1) * HIDDEN) for k in range(4))
 
+# row order of the fused layer matrix, [i, f, o, g]: the three sigmoid gates
+# form one block. Swapping the last two blocks is its own inverse.
+_FUSED_ORDER = np.r_[_I, _F, _O, _G]
+_SIG = slice(0, 3 * HIDDEN)
+
 PARAM_SHAPES: dict[str, tuple[int, ...]] = {
     "lstm1.Wx": (4 * HIDDEN, 2),
     "lstm1.Wh": (4 * HIDDEN, HIDDEN),
@@ -53,21 +71,13 @@ PARAM_SHAPES: dict[str, tuple[int, ...]] = {
 N_PARAMS = sum(int(np.prod(s)) for s in PARAM_SHAPES.values())  # 14418
 
 
-class WindowSample(NamedTuple):
-    """One training example: velocity window plus displacement target."""
-
-    input: np.ndarray  # (100, 2) velocity in dva/s
-    target: np.ndarray  # (2,) displacement in dva, window end -> end + PI
-    end_idx: int  # sample index of the window end in the recording
-
-
 @dataclass
 class WindowBatch:
-    """Column-wise window storage; indexes like a sequence of WindowSample."""
+    """Column-wise window storage; slices and index arrays select sub-batches."""
 
-    inputs: np.ndarray  # (n, 100, 2)
-    targets: np.ndarray  # (n, 2)
-    end_indices: np.ndarray  # (n,)
+    inputs: np.ndarray  # (n, 100, 2) velocity in dva/s
+    targets: np.ndarray  # (n, 2) displacement in dva, window end -> end + PI
+    end_indices: np.ndarray  # (n,) sample index of each window end
 
     def __post_init__(self):
         n = len(self.inputs)
@@ -78,8 +88,6 @@ class WindowBatch:
         return len(self.inputs)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return WindowSample(self.inputs[key], self.targets[key], int(self.end_indices[key]))
         return WindowBatch(self.inputs[key], self.targets[key], self.end_indices[key])
 
 
@@ -88,6 +96,9 @@ def _valid_window_ends(rec: GazeRecording, vel: VelocityTrace, pi_ms: int, requi
     n = rec.n_samples
     if len(vel.vx) != n:
         raise AlignmentError("velocity trace misaligned with recording")
+    if vel.cfg.mode != "causal":
+        # a centered trace looks ahead, so its windows would see the future
+        raise ConfigError(f"LSTM windows need a causal velocity trace, got mode {vel.cfg.mode!r}")
     ok = vel.valid & rec.valid
     csum = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
     ends = np.arange(WINDOW_SAMPLES - 1, n)
@@ -124,15 +135,6 @@ def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBa
 
 # ---------------------------------------------------------------------------
 # model
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 class LstmModel:
@@ -176,42 +178,87 @@ class LstmModel:
         return {k: v.copy() for k, v in self.params.items()}
 
 
+def _fused_layers(p: dict[str, np.ndarray]):
+    """Per layer: (W, W_half, n_in).
+
+    W is [Wx | Wh | b] with rows in [i, f, o, g] order, (4H, n_in + H + 1);
+    W_half is W with the sigmoid rows halved, the forward matmul's operand.
+    """
+    layers = []
+    for prefix in ("lstm1", "lstm2"):
+        wx = p[f"{prefix}.Wx"]
+        w = np.hstack([wx, p[f"{prefix}.Wh"], p[f"{prefix}.b"][:, None]])[_FUSED_ORDER]
+        half = w.copy()
+        half[_SIG] *= 0.5
+        layers.append((w, half, wx.shape[1]))
+    return layers
+
+
+def _gate_views(z: np.ndarray):
+    """The i, f, o, g row blocks of a fused-order (4H, B) gate array."""
+    return z[:HIDDEN], z[HIDDEN : 2 * HIDDEN], z[2 * HIDDEN : 3 * HIDDEN], z[3 * HIDDEN :]
+
+
 def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool):
-    """Batched sequence-to-one pass; xs is (B, T, 2) in dva/s."""
-    p = model.params
+    """Batched sequence-to-one pass; xs is (B, T, 2) in dva/s.
+
+    The recurrence runs feature-major, batch last, so every gate block and
+    state is a run of contiguous rows. Slot r of ``ops[l]`` (K, slots, B) is
+    layer l's operand [x, h, 1] for step r, and slot r of ``cs[l]`` the cell
+    state entering it. With the cache every step owns its slot of each
+    array, (T + 1) for operands and cell states and T for activations;
+    without it two slots alternate and one activation slot is reused, so
+    memory does not grow with T.
+    """
     b, t_len, _ = xs.shape
-    x_scaled = xs * model.input_scale
+    layers = _fused_layers(model.params)
+    rows = t_len if want_cache else 1
+    slots = t_len + 1 if want_cache else 2
+    ops = [np.zeros((n_in + HIDDEN + 1, slots, b)) for _, _, n_in in layers]
+    for op in ops:
+        op[-1] = 1.0
+    cs = [np.zeros((HIDDEN, slots, b)) for _ in layers]
+    acts = [np.empty((4 * HIDDEN, rows, b)) for _ in layers]
+    tc = np.empty((HIDDEN, b))
 
-    h = [np.zeros((b, HIDDEN)), np.zeros((b, HIDDEN))]
-    c = [np.zeros((b, HIDDEN)), np.zeros((b, HIDDEN))]
-    cache = {"x": x_scaled, "steps": []} if want_cache else None
-
+    nxt = 0
     for t in range(t_len):
-        layer_in = x_scaled[:, t, :]
-        step_cache = []
-        for li, prefix in enumerate(("lstm1", "lstm2")):
-            gates = layer_in @ p[f"{prefix}.Wx"].T + h[li] @ p[f"{prefix}.Wh"].T + p[f"{prefix}.b"]
-            i = _sigmoid(gates[:, _I])
-            f = _sigmoid(gates[:, _F])
-            g = np.tanh(gates[:, _G])
-            o = _sigmoid(gates[:, _O])
-            c_new = f * c[li] + i * g
-            tc = np.tanh(c_new)
-            h_new = o * tc
-            if want_cache:
-                step_cache.append((layer_in, h[li], c[li], i, f, g, o, tc))
-            layer_in = h_new
-            h[li], c[li] = h_new, c_new
-        if want_cache:
-            cache["steps"].append(step_cache)
+        cur, nxt, row = (t, t + 1, t) if want_cache else (t % 2, 1 - t % 2, 0)
+        np.multiply(xs[:, t].T, model.input_scale, out=ops[0][:2, cur])
+        for li, (_, w_half, n_in) in enumerate(layers):
+            z = acts[li][:, row]
+            np.matmul(w_half, ops[li][:, cur], out=z)
+            np.tanh(z, out=z)
+            sig = z[_SIG]
+            sig *= 0.5
+            sig += 0.5
+            i, f, o, g = _gate_views(z)
+            c = cs[li][:, nxt]
+            np.multiply(f, cs[li][:, cur], out=c)
+            c += i * g
+            np.tanh(c, out=tc)
+            h = ops[li][n_in:-1, nxt]
+            np.multiply(o, tc, out=h)
+            if li == 0:
+                # layer 2 reads layer 1's hidden state at the same step
+                ops[1][:HIDDEN, cur] = h
 
-    a1_pre = h[1] @ p["fc1.W"].T + p["fc1.b"]
+    p = model.params
+    h_last = ops[1][HIDDEN:-1, nxt].T
+    a1_pre = h_last @ p["fc1.W"].T + p["fc1.b"]
     a1 = np.maximum(a1_pre, 0.0)
     a2_pre = a1 @ p["fc2.W"].T + p["fc2.b"]
     a2 = np.maximum(a2_pre, 0.0)
     pred = a2 @ p["out.W"].T + p["out.b"]
+    cache = None
     if want_cache:
-        cache["head"] = (h[1], a1_pre, a1, a2_pre, a2)
+        cache = {
+            "layers": layers,
+            "ops": ops,
+            "cs": cs,
+            "acts": acts,
+            "head": (h_last, a1_pre, a1, a2_pre, a2),
+        }
     return pred, cache
 
 
@@ -246,41 +293,56 @@ def loss_and_grad(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
     pred, cache = _forward(model, xs, want_cache=True)
     loss, dpred = _loss_grad_from_pred(pred, ys)
 
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grads = {}
     h_last, a1_pre, a1, a2_pre, a2 = cache["head"]
 
-    grads["out.W"] += dpred.T @ a2
-    grads["out.b"] += dpred.sum(axis=0)
+    grads["out.W"] = dpred.T @ a2
+    grads["out.b"] = dpred.sum(axis=0)
     da2 = (dpred @ p["out.W"]) * (a2_pre > 0)
-    grads["fc2.W"] += da2.T @ a1
-    grads["fc2.b"] += da2.sum(axis=0)
+    grads["fc2.W"] = da2.T @ a1
+    grads["fc2.b"] = da2.sum(axis=0)
     da1 = (da2 @ p["fc2.W"]) * (a1_pre > 0)
-    grads["fc1.W"] += da1.T @ h_last
-    grads["fc1.b"] += da1.sum(axis=0)
+    grads["fc1.W"] = da1.T @ h_last
+    grads["fc1.b"] = da1.sum(axis=0)
     dh_head = da1 @ p["fc1.W"]
 
+    layers, ops, cs, acts = (cache[k] for k in ("layers", "ops", "cs", "acts"))
     b, t_len, _ = xs.shape
-    dh = [np.zeros((b, HIDDEN)), dh_head]
-    dc = [np.zeros((b, HIDDEN)), np.zeros((b, HIDDEN))]
+    back = [np.ascontiguousarray(w[:, :-1].T) for w, _, _ in layers]  # [Wx | Wh]^T
+    dh = [np.zeros((HIDDEN, b)), np.ascontiguousarray(dh_head.T)]
+    dc = [np.zeros((HIDDEN, b)), np.zeros((HIDDEN, b))]
+    d_sig = np.empty((3 * HIDDEN, b))  # dL/d[i, f, o]
     for t in range(t_len - 1, -1, -1):
         for li in (1, 0):
-            prefix = ("lstm1", "lstm2")[li]
-            layer_in, h_prev, c_prev, i, f, g, o, tc = cache["steps"][t][li]
-            dct = dh[li] * o * (1.0 - tc * tc) + dc[li]
-            dgates = np.empty((b, 4 * HIDDEN))
-            dgates[:, _I] = dct * g * i * (1.0 - i)
-            dgates[:, _F] = dct * c_prev * f * (1.0 - f)
-            dgates[:, _G] = dct * i * (1.0 - g * g)
-            dgates[:, _O] = dh[li] * tc * o * (1.0 - o)
-            grads[f"{prefix}.Wx"] += dgates.T @ layer_in
-            grads[f"{prefix}.Wh"] += dgates.T @ h_prev
-            grads[f"{prefix}.b"] += dgates.sum(axis=0)
-            dh[li] = dgates @ p[f"{prefix}.Wh"]
+            z = acts[li][:, t]
+            i, f, o, g = _gate_views(z)
+            tc = np.tanh(cs[li][:, t + 1])
+            dct = dh[li] * o
+            dct *= 1.0 - tc * tc
+            dct += dc[li]
+            np.multiply(dct, g, out=d_sig[:HIDDEN])
+            np.multiply(dct, cs[li][:, t], out=d_sig[HIDDEN : 2 * HIDDEN])
+            np.multiply(dh[li], tc, out=d_sig[2 * HIDDEN :])
             dc[li] = dct * f
-            d_in = dgates @ p[f"{prefix}.Wx"]
+            # the spent activations become the pre-activation gradients
+            dg = 1.0 - g * g
+            dg *= i
+            np.multiply(dg, dct, out=g)
+            sig = z[_SIG]
+            sig -= sig * sig
+            sig *= d_sig
+            d_op = back[li] @ z
+            dh[li] = d_op[-HIDDEN:]
             if li == 1:
-                # layer 2 reads layer 1's hidden state at the same step
-                dh[0] = dh[0] + d_in
+                # layer 2's input is layer 1's hidden state at the same step
+                dh[0] += d_op[:HIDDEN]
+
+    for (w, _, n_in), op, dz, prefix in zip(layers, ops, acts, ("lstm1", "lstm2")):
+        # one matmul over all T*B columns; indexing by _FUSED_ORDER restores [i, f, g, o]
+        dw = (dz.reshape(4 * HIDDEN, t_len * b) @ op[:, :t_len].reshape(len(op), t_len * b).T)[_FUSED_ORDER]
+        grads[f"{prefix}.Wx"] = dw[:, :n_in]
+        grads[f"{prefix}.Wh"] = dw[:, n_in:-1]
+        grads[f"{prefix}.b"] = dw[:, -1]
     return loss, grads
 
 

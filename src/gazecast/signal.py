@@ -21,6 +21,7 @@ from scipy.signal import savgol_coeffs
 from .errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     EmptyInputError,
     ParseError,
     RateError,
@@ -65,6 +66,9 @@ class GazeRecording:
             raise EmptyInputError("recording has no samples")
         if not (len(self.x) == len(self.y) == len(self.valid) == n):
             raise AlignmentError("sample arrays have mismatched lengths")
+        bad = self.valid & ~(np.isfinite(self.x) & np.isfinite(self.y))
+        if bad.any():
+            raise DataError(f"sample {int(np.argmax(bad))} is marked valid but its position is not finite")
         steps = np.diff(self.t_ms)
         if n > 1 and not np.all(steps == 1):
             bad = int(np.argmax(steps != 1))

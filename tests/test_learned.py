@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,16 @@ from gazecast.errors import (
     DivergenceError,
     EmptyInputError,
 )
-from gazecast.signal import compute_velocity, recording_from_arrays
+from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
 PI = 40
+CAUSAL = DiffConfig(mode="causal")
+
+# Output of the pre-rewrite LSTM (commit d916e65: two matmuls and a
+# masked-index sigmoid per layer-step, per-step tuple cache) for seed-123
+# weights on reference_batch(): predictions, loss, every loss_and_grad
+# tensor, and the parameters after one 2-batch lstm_train epoch.
+REFERENCE = Path(__file__).parent / "data" / "lstm_reference.npz"
 
 
 def ramp_recording(vx, vy, n, subject="T"):
@@ -24,9 +32,9 @@ def ramp_recording(vx, vy, n, subject="T"):
     return recording_from_arrays(subject, vx * t / 1000.0, vy * t / 1000.0)
 
 
-def ramp_windows(vx, vy, n=172, pi=PI):
+def ramp_windows(vx, vy, n=175, pi=PI):
     rec = ramp_recording(vx, vy, n)
-    return L.make_windows(rec, compute_velocity(rec), pi)
+    return L.make_windows(rec, compute_velocity(rec, CAUSAL), pi)
 
 
 def concat(batches):
@@ -47,9 +55,10 @@ class TestMakeWindows:
         assert np.allclose(wb.inputs[:, :, 1], 0.0, atol=1e-6)
 
     def test_short_recording_empty(self):
-        # first differentiable window end is sample 102; target needs +PI
-        assert len(ramp_windows(5.0, 0.0, n=142)) == 0
-        assert len(ramp_windows(5.0, 0.0, n=143)) == 1
+        # first window end with a full causal velocity history is sample
+        # 105 (6 samples of derivative history + 99); target needs +PI
+        assert len(ramp_windows(5.0, 0.0, n=145)) == 0
+        assert len(ramp_windows(5.0, 0.0, n=146)) == 1
         assert len(ramp_windows(5.0, 0.0, n=60)) == 0
 
     def test_blink_never_touched(self):
@@ -58,7 +67,7 @@ class TestMakeWindows:
         valid = np.ones(n, dtype=bool)
         valid[150] = False
         rec = recording_from_arrays("T", 8.0 * t / 1000.0, np.zeros(n), valid=valid)
-        wb = L.make_windows(rec, compute_velocity(rec), PI)
+        wb = L.make_windows(rec, compute_velocity(rec, CAUSAL), PI)
         assert len(wb) > 0
         ends = wb.end_indices
         spans_blink = (ends - (L.WINDOW_SAMPLES - 1) <= 150) & (150 <= ends)
@@ -74,17 +83,13 @@ class TestMakeWindows:
         x = np.cumsum(rng.normal(scale=0.01, size=500))
         y = np.cumsum(rng.normal(scale=0.01, size=500))
         rec = recording_from_arrays("T", x, y)
-        wb = L.make_windows(rec, compute_velocity(rec), 25)
+        wb = L.make_windows(rec, compute_velocity(rec, CAUSAL), 25)
         e = wb.end_indices
         assert np.array_equal(wb.targets[:, 0], x[e + 25] - x[e])
         assert np.array_equal(wb.targets[:, 1], y[e + 25] - y[e])
 
     def test_batch_indexing(self):
         wb = ramp_windows(10.0, 0.0, n=300)
-        sample = wb[5]
-        assert isinstance(sample, L.WindowSample)
-        assert sample.input.shape == (100, 2)
-        assert sample.end_idx == int(wb.end_indices[5])
         sub = wb[2:7]
         assert isinstance(sub, L.WindowBatch)
         assert len(sub) == 5
@@ -92,7 +97,16 @@ class TestMakeWindows:
     def test_bad_pi(self):
         rec = ramp_recording(1.0, 0.0, 300)
         with pytest.raises(ConfigError):
-            L.make_windows(rec, compute_velocity(rec), 0)
+            L.make_windows(rec, compute_velocity(rec, CAUSAL), 0)
+
+    def test_centered_trace_rejected(self):
+        # a centered derivative looks 3 samples ahead of the window end
+        rec = ramp_recording(1.0, 0.0, 300)
+        centered = compute_velocity(rec, DiffConfig(mode="centered"))
+        with pytest.raises(ConfigError, match="causal"):
+            L.make_windows(rec, centered, PI)
+        with pytest.raises(ConfigError, match="causal"):
+            L.lstm_predict_recording(L.LstmModel.init_seeded(0), rec, centered, PI)
 
 
 class TestForward:
@@ -184,6 +198,49 @@ class TestForward:
         broken["out.W"] = np.zeros((3, 16))
         with pytest.raises(ConfigError):
             L.LstmModel(broken)
+
+
+def reference_batch():
+    """A fixed 16x100x2 batch of mixed-frequency velocities with targets."""
+    k = np.arange(100)[None, :]
+    j = np.arange(16)[:, None]
+    vx = 150.0 * np.sin(k / (5.0 + j) + 0.7 * j) + 40.0 * np.sin(k * 1.3 + j)
+    vy = 90.0 * np.cos(k / (11.0 - 0.4 * j) - 0.3 * j) - 30.0 * np.cos(k * 2.1 * (j + 1))
+    jj = np.arange(16)
+    targets = np.column_stack([0.4 * np.sin(1.7 * jj), 0.3 * np.cos(2.3 * jj + 0.5)])
+    return np.stack([vx, vy], axis=-1), targets
+
+
+class TestReferenceEquivalence:
+    @pytest.fixture(scope="class")
+    def ref(self):
+        with np.load(REFERENCE) as data:
+            return dict(data)
+
+    @staticmethod
+    def assert_close(actual, expected):
+        scale = np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= 1e-12 * scale
+
+    def test_forward_and_loss(self, ref):
+        xs, ys = reference_batch()
+        model = L.LstmModel.init_seeded(123)
+        self.assert_close(L.lstm_forward(model, xs), ref["pred"])
+        loss, _ = L.loss_and_grad(model, xs, ys)
+        self.assert_close(loss, ref["loss"])
+
+    def test_gradients(self, ref):
+        xs, ys = reference_batch()
+        _, grads = L.loss_and_grad(L.LstmModel.init_seeded(123), xs, ys)
+        for name in L.PARAM_SHAPES:
+            self.assert_close(grads[name], ref[f"grad/{name}"])
+
+    def test_one_training_epoch(self, ref):
+        xs, ys = reference_batch()
+        model = L.LstmModel.init_seeded(123)
+        L.lstm_train(model, L.WindowBatch(xs, ys, np.arange(16)), L.TrainConfig(batch_size=8, epochs=1, rng_seed=3))
+        for name in L.PARAM_SHAPES:
+            self.assert_close(model.params[name], ref[f"trained/{name}"])
 
 
 class TestLossAndGradient:
@@ -338,7 +395,7 @@ class TestBaselines:
 
     def test_constant_velocity_exact_on_ramp(self):
         rec = ramp_recording(10.0, -5.0, 500)
-        run = L.baseline_predict("constant-velocity", rec, compute_velocity(rec), PI)
+        run = L.baseline_predict("constant-velocity", rec, compute_velocity(rec, CAUSAL), PI)
         idx = np.flatnonzero(run.valid_mask)
         assert idx.size > 300
         assert np.allclose(run.predicted[idx, 0], rec.x[idx + PI], atol=1e-9)
@@ -375,7 +432,7 @@ class TestBaselines:
 class TestLstmPredictRecording:
     def test_zero_net_predicts_current_position(self):
         rec = ramp_recording(10.0, 2.0, 400)
-        vel = compute_velocity(rec)
+        vel = compute_velocity(rec, CAUSAL)
         model = L.LstmModel({k: np.zeros(s) for k, s in L.PARAM_SHAPES.items()})
         run = L.lstm_predict_recording(model, rec, vel, PI)
         assert run.predictor_id == "lstm"
@@ -388,7 +445,7 @@ class TestLstmPredictRecording:
 
     def test_chunked_equals_single_pass(self):
         rec = ramp_recording(-4.0, 7.0, 450)
-        vel = compute_velocity(rec)
+        vel = compute_velocity(rec, CAUSAL)
         model = L.LstmModel.init_seeded(6)
         a = L.lstm_predict_recording(model, rec, vel, PI, chunk=64)
         b = L.lstm_predict_recording(model, rec, vel, PI, chunk=100000)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazecast.errors import ConfigError, EmptyInputError, ParseError, RateError
+from gazecast.errors import ConfigError, DataError, EmptyInputError, ParseError, RateError
 from gazecast.signal import (
     ColumnMapping,
     DiffConfig,
@@ -133,6 +133,17 @@ class TestRecordingInvariants:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             recording_from_arrays("s", [], [])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_valid_sample_rejected(self, bad):
+        x = np.zeros(50)
+        x[17] = bad
+        with pytest.raises(DataError, match="sample 17"):
+            recording_from_arrays("s", x, np.zeros(50), valid=np.ones(50, dtype=bool))
+        # the same value on a sample flagged invalid is a legal gap
+        valid = np.ones(50, dtype=bool)
+        valid[17] = False
+        assert recording_from_arrays("s", x, np.zeros(50), valid=valid).n_valid == 49
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(RateError):
