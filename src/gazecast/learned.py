@@ -14,10 +14,10 @@ and halving is exact in binary floating point, the sigmoid rows of the fused
 matrix are halved once per call, and one tanh over the whole gate block
 followed by an in-place ``*0.5 + 0.5`` on the sigmoid block yields all four
 gates. Arrays are laid out feature-major with the batch last, so each gate
-block is contiguous. Training keeps the operands, activations and cell
-states of every step in preallocated arrays; BPTT overwrites each spent
-activation slot with its gate gradient, so each layer's weight gradient is
-one matmul over all T·B columns after the loop.
+block is a run of contiguous rows. Training keeps the operands, activations
+and cell states of every step in views of one preallocated block; BPTT
+overwrites each spent activation slot with its gate gradient, so each
+layer's weight gradient is one matmul over all T·B columns after the loop.
 """
 
 from __future__ import annotations
@@ -202,10 +202,10 @@ def _gate_views(z: np.ndarray):
 def _pass_buffers(layers, slots: int, rows: int, b: int):
     """Operand (bias row 1, rest 0), cell-state (0) and activation arrays.
 
-    They are views of one allocation: a training pass needs about 90 MB,
-    and as a single block it is mapped and released whole. As separate
-    arrays the allocator reused them through heap holes, and peak RSS of
-    the same run varied by up to 25 MB.
+    They are views of one allocation: a training pass needs about 86 MB,
+    and as one block it is mapped and released whole. As separate arrays
+    they left multi-megabyte holes in the heap, and 6 of 10 identical
+    ``lstm`` benchmark runs peaked about 25 MB higher (2 of 10 as one block).
     """
     shapes = [(n_in + HIDDEN + 1, slots, b) for _, _, n_in in layers]
     shapes += [(len(layers), HIDDEN, slots, b), (len(layers), 4 * HIDDEN, rows, b)]
