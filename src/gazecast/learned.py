@@ -202,7 +202,7 @@ def _gate_views(z: np.ndarray):
 def _pass_buffers(layers, slots: int, rows: int, b: int):
     """Operand (bias row 1, rest 0), cell-state (0) and activation arrays.
 
-    They are views of one allocation: a training pass needs about 86 MB,
+    They are views of one allocation: a 256-window training pass needs 86 MB,
     and as one block it is mapped and released whole. As separate arrays
     they left multi-megabyte holes in the heap, and 6 of 10 identical
     ``lstm`` benchmark runs peaked about 25 MB higher (2 of 10 as one block).
