@@ -238,7 +238,8 @@ class TestReferenceEquivalence:
     def test_one_training_epoch(self, ref):
         xs, ys = reference_batch()
         model = L.LstmModel.init_seeded(123)
-        L.lstm_train(model, L.WindowBatch(xs, ys, np.arange(16)), L.TrainConfig(batch_size=8, epochs=1, rng_seed=3))
+        cfg = L.TrainConfig(batch_size=8, epochs=1, rng_seed=3)
+        L.lstm_train(model, L.WindowBatch(xs, ys, np.arange(16)), cfg)
         for name in L.PARAM_SHAPES:
             self.assert_close(model.params[name], ref[f"trained/{name}"])
 
