@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gazecast import metrics as M
 from gazecast.classify import EventKind, EventSegment, SaccadeProps, classify_events
@@ -122,6 +124,67 @@ class TestScoreRun:
                 rec,
                 [EventSegment(EventKind.FIXATION, 0, n - 2)],
             )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(EventKind)),
+                st.integers(1, 60),
+                st.one_of(st.floats(0.5, 9.99), st.just(10.0), st.floats(10.0, 30.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_class_errors_match_per_sample_loop(self, spans, seed, data):
+        segs, pos = [], 0
+        for kind, length, amp in spans:
+            props = sacc_props(amp, length) if kind is EventKind.SACCADE else None
+            segs.append(EventSegment(kind, pos, pos + length - 1, props))
+            pos += length
+        n = pos
+        assume(n >= 2)
+        pi = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        rec = recording_from_arrays(
+            "S", rng.normal(size=n), rng.normal(size=n), valid=rng.random(n) < 0.8
+        )
+        predicted = rng.normal(size=(n, 2))
+        mask = np.zeros(n, dtype=bool)
+        mask[: n - pi] = rng.random(n - pi) < 0.7
+
+        seg_of = [s for s in segs for _ in range(s.n_samples)]
+        expected = {name: [] for name in M.EVENT_CLASSES}
+        for i in range(n - pi):
+            t = i + pi
+            if not (mask[i] and rec.valid[t]):
+                continue
+            err = float(np.hypot(predicted[i, 0] - rec.x[t], predicted[i, 1] - rec.y[t]))
+            seg = seg_of[t]
+            if seg.kind is EventKind.FIXATION:
+                expected["fixation"].append(err)
+            elif seg.kind is EventKind.SACCADE:
+                big = seg.props.amplitude_dva >= 10.0
+                expected["large_saccade" if big else "small_saccade"].append(err)
+            # post-saccadic: a saccade ended within the last 100 samples and
+            # no saccade or blink sample lies between its end and t
+            for j in range(t, max(t - 100, 0) - 1, -1):
+                kind = seg_of[j].kind
+                if kind is EventKind.BLINK or (kind is EventKind.SACCADE and j == t):
+                    break
+                if kind is EventKind.SACCADE:
+                    expected["cep"].append(err)
+                    break
+            expected["all"].append(err)
+
+        scored = M.score_run(run_from(predicted, mask, pi), rec, segs)
+        assert len(scored) == len(expected["all"])
+        split = M.class_errors(scored, segs)
+        for name in M.EVENT_CLASSES:
+            assert split[name].tolist() == expected[name], name
 
     def test_records_nonnegative_finite(self):
         cohort = generate_cohort(SynthConfig(n_subjects=1, duration_s=6.0, rng_seed=1))
