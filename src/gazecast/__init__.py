@@ -4,8 +4,7 @@ Subpackages cover the full pipeline: signal ingestion and differentiation,
 velocity-threshold event classification, an oculomotor plant simulator and
 synthetic cohort generator, a plant-informed Kalman predictor, a small
 from-scratch LSTM predictor with extrapolation baselines, signal-quality
-features, and event-conditioned evaluation metrics. The ``gazecast`` CLI
-chains these into a cached end-to-end run.
+features, and event-conditioned evaluation metrics.
 """
 
 import logging

@@ -38,6 +38,17 @@ class SaccadeProps:
     sample_count: int
 
 
+# per-sample label codes: classify_events labels samples in these before it
+# builds segments, and event_labels expands segments back into them
+UNLABELED, FIXATION, SACCADE, BLINK, OTHER, LARGE_SACCADE = -1, 0, 1, 2, 3, 4
+_CODE_OF = {
+    EventKind.FIXATION: FIXATION,
+    EventKind.SACCADE: SACCADE,
+    EventKind.BLINK: BLINK,
+    EventKind.OTHER: OTHER,
+}
+
+
 @dataclass(frozen=True)
 class EventSegment:
     kind: EventKind
@@ -89,9 +100,8 @@ def classify_events(
     if len(vel.v_radial) != n:
         raise AlignmentError(f"velocity trace has {len(vel.v_radial)} entries for {n} samples")
 
-    # label codes: -1 unassigned, 0 fixation, 1 saccade, 2 blink, 3 other
-    labels = np.full(n, -1, dtype=np.int8)
-    labels[~rec.valid] = 2
+    labels = np.full(n, UNLABELED, dtype=np.int8)
+    labels[~rec.valid] = BLINK
 
     v = vel.v_radial
     seeds = vel.valid & (v > cfg.peak_threshold)
@@ -101,14 +111,14 @@ def classify_events(
         if not seeds[start : end + 1].any():
             continue
         dur = end - start + 1
-        labels[start : end + 1] = 1 if cfg.min_saccade_ms <= dur <= cfg.max_saccade_ms else 3
+        labels[start : end + 1] = SACCADE if cfg.min_saccade_ms <= dur <= cfg.max_saccade_ms else OTHER
 
-    for start, end in _runs(labels == -1):
+    for start, end in _runs(labels == UNLABELED):
         dur = end - start + 1
-        labels[start : end + 1] = 0 if dur >= cfg.min_fixation_ms else 3
+        labels[start : end + 1] = FIXATION if dur >= cfg.min_fixation_ms else OTHER
 
     segments: list[EventSegment] = []
-    kind_of = {0: EventKind.FIXATION, 1: EventKind.SACCADE, 2: EventKind.BLINK, 3: EventKind.OTHER}
+    kind_of = {code: kind for kind, code in _CODE_OF.items()}
     boundaries = np.flatnonzero(np.diff(labels)) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries - 1, [n - 1]))
@@ -133,6 +143,22 @@ def saccade_class(amplitude_dva: float) -> str:
     return "large" if amplitude_dva >= SMALL_LARGE_SPLIT_DVA else "small"
 
 
+def event_labels(segs: list[EventSegment], n: int) -> np.ndarray:
+    """Per-sample int8 label codes expanded from segments.
+
+    A saccade whose amplitude ``saccade_class`` calls "large" is
+    LARGE_SACCADE; other saccades, including any without props, are SACCADE.
+    Samples that no segment covers stay UNLABELED.
+    """
+    out = np.full(n, UNLABELED, dtype=np.int8)
+    for seg in segs:
+        code = _CODE_OF[seg.kind]
+        if seg.props is not None and code == SACCADE and saccade_class(seg.props.amplitude_dva) == "large":
+            code = LARGE_SACCADE
+        out[seg.start_idx : seg.end_idx + 1] = code
+    return out
+
+
 def fixation_noise_threshold(
     rec: GazeRecording, vel: VelocityTrace, segs: list[EventSegment]
 ) -> float:
@@ -140,12 +166,7 @@ def fixation_noise_threshold(
     n = rec.n_samples
     if len(vel.v_radial) != n:
         raise AlignmentError("velocity trace misaligned with recording")
-    mask = np.zeros(n, dtype=bool)
-    for seg in segs:
-        if seg.kind is EventKind.FIXATION:
-            mask[seg.start_idx : seg.end_idx + 1] = True
-    mask &= vel.valid
-    values = vel.v_radial[mask]
+    values = vel.v_radial[(event_labels(segs, n) == FIXATION) & vel.valid]
     if values.size < 100:
         raise InsufficientDataError(
             f"need >= 100 valid fixation samples for the noise threshold, got {values.size}"
@@ -168,9 +189,6 @@ class CausalLabeler:
 
     def __init__(self, cfg: ClassifierConfig = ClassifierConfig()):
         self.cfg = cfg
-        self._in_saccade = False
-
-    def reset(self) -> None:
         self._in_saccade = False
 
     def update(self, v_radial: float, vel_valid: bool, sample_valid: bool) -> EventKind:
@@ -213,11 +231,3 @@ def segments_from_json(text: str) -> list[EventSegment]:
             )
         )
     return segs
-
-
-def kind_labels(segs: list[EventSegment], n: int) -> np.ndarray:
-    """Per-sample EventKind array expanded from segments."""
-    out = np.empty(n, dtype=object)
-    for seg in segs:
-        out[seg.start_idx : seg.end_idx + 1] = seg.kind
-    return out

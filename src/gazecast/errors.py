@@ -43,15 +43,6 @@ class InsufficientDataError(DataError):
     """Not enough samples/events to compute a quantity reliably."""
 
 
-class DependencyError(DataError):
-    """A pipeline stage is missing an upstream artifact."""
-
-    def __init__(self, stage: str, missing: str):
-        self.stage = stage
-        self.missing = missing
-        super().__init__(f"stage '{stage}' requires missing artifact: {missing}")
-
-
 class NumericalError(GazecastError):
     """Numerical failure (divergence, instability, singular matrices)."""
 

@@ -88,6 +88,8 @@ class WindowBatch:
         return len(self.inputs)
 
     def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            raise ConfigError(f"only slices and index arrays select windows, got int {key}")
         return WindowBatch(self.inputs[key], self.targets[key], self.end_indices[key])
 
 

@@ -2,21 +2,21 @@
 
 The first half of this module is small, self-contained statistics
 (quantiles, Spearman correlation, Bonferroni flags, Kendall's W) written
-directly from their defining formulas so every published number can be
-reproduced bit-for-bit from exported error records. The second half scores
-prediction runs against ground truth and aggregates errors per event class,
-subject, and saccade phase.
+directly from their defining formulas. The second half scores prediction
+runs against ground truth into a two-column table (target sample, error)
+and aggregates those errors per event class, subject, and saccade phase;
+event classes come from the segments, expanded once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
 
-from .classify import EventKind, EventSegment, saccade_class
+from .classify import FIXATION, LARGE_SACCADE, SACCADE, EventKind, EventSegment, event_labels
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -156,18 +156,25 @@ def cdf_curve(errors, grid) -> np.ndarray:
 # scoring prediction runs against labeled recordings
 
 
-class ErrorRecord(NamedTuple):
-    """One scored prediction, indexed by the sample it predicted (t + PI).
+@dataclass(frozen=True)
+class ScoredRun:
+    """Scored predictions of one run, one row per scored prediction.
 
-    Event kind and saccade class describe that target sample, so a
-    prediction issued during fixation that lands inside a saccade counts
-    against the saccade.
+    Rows are indexed by the sample each prediction targeted (t + PI), so
+    the event class of a row is that of its target sample: a prediction
+    issued during fixation that lands inside a saccade counts against the
+    saccade.
     """
 
-    sample_idx: int
-    event_kind: EventKind
-    saccade_class: str  # "small" | "large" | "none"
-    error_dva: float
+    sample_idx: np.ndarray  # (k,) target sample of each prediction
+    error_dva: np.ndarray  # (k,) Euclidean prediction error
+
+    def __post_init__(self):
+        if len(self.sample_idx) != len(self.error_dva):
+            raise AlignmentError("score columns disagree on length")
+
+    def __len__(self) -> int:
+        return len(self.sample_idx)
 
 
 EVENT_CLASSES = ("fixation", "small_saccade", "large_saccade", "cep", "all")
@@ -184,7 +191,7 @@ def _check_tiling(segs: Sequence[EventSegment], n: int) -> None:
         )
 
 
-def score_run(run, rec, segs: Sequence[EventSegment]) -> list[ErrorRecord]:
+def score_run(run, rec, segs: Sequence[EventSegment]) -> ScoredRun:
     """Score every unmasked prediction of a run against the recording.
 
     ``run`` is any PredictionRun-shaped object: ``predicted`` (n, 2),
@@ -200,13 +207,6 @@ def score_run(run, rec, segs: Sequence[EventSegment]) -> list[ErrorRecord]:
     _check_tiling(segs, n)
     pi = int(run.pi_ms)
 
-    kind_of = np.empty(n, dtype=object)
-    cls_of = np.full(n, "none", dtype=object)
-    for s in segs:
-        kind_of[s.start_idx : s.end_idx + 1] = s.kind
-        if s.kind == EventKind.SACCADE:
-            cls_of[s.start_idx : s.end_idx + 1] = saccade_class(s.props.amplitude_dva)
-
     idx = np.flatnonzero(mask)
     tgt = idx + pi
     if tgt.size and tgt[-1] >= n:
@@ -216,10 +216,7 @@ def score_run(run, rec, segs: Sequence[EventSegment]) -> list[ErrorRecord]:
     ok = rec.valid[tgt]
     idx, tgt = idx[ok], tgt[ok]
     err = np.hypot(pred[idx, 0] - rec.x[tgt], pred[idx, 1] - rec.y[tgt])
-    return [
-        ErrorRecord(int(t), kind_of[t], str(cls_of[t]), float(e))
-        for t, e in zip(tgt, err)
-    ]
+    return ScoredRun(tgt, err)
 
 
 def cep_intervals(segs: Sequence[EventSegment]) -> list[tuple[int, int]]:
@@ -248,51 +245,44 @@ def cep_intervals(segs: Sequence[EventSegment]) -> list[tuple[int, int]]:
     return out
 
 
-def class_errors(records: Sequence[ErrorRecord], segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
+def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
     """Split scored errors into the five reporting classes.
 
-    "cep" selects records inside post-saccadic windows regardless of their
-    own event kind (the windows already stop at the next saccade or blink);
-    the other classes select by the record's target-sample label. A record
+    "cep" selects rows inside post-saccadic windows regardless of their own
+    event kind (the windows already stop at the next saccade or blink); the
+    other classes select by the label of the row's target sample. A row
     whose sample index lies outside the segments raises AlignmentError.
     """
-    if not records:
-        empty = np.empty(0, dtype=float)
-        return {name: empty.copy() for name in EVENT_CLASSES}
     n = segs[-1].end_idx + 1 if segs else 0
-    idxs = np.array([r.sample_idx for r in records], dtype=int)
+    idxs = scored.sample_idx
     outside = (idxs < 0) | (idxs >= n)
     if outside.any():
         raise AlignmentError(
-            f"record sample_idx {int(idxs[outside][0])} lies outside the {n} segmented samples"
+            f"scored sample_idx {int(idxs[outside][0])} lies outside the {n} segmented samples"
         )
     in_cep = np.zeros(n, dtype=bool)
     for a, b in cep_intervals(segs):
         in_cep[a : b + 1] = True
-    err = np.array([r.error_dva for r in records], dtype=float)
-    # compare by .value: numpy coerces a str-enum scalar via str(), which
-    # yields the qualified name rather than the payload
-    kinds = np.array([r.event_kind.value for r in records])
-    cls = np.array([r.saccade_class for r in records])
-    sac = kinds == EventKind.SACCADE.value
+    labels = event_labels(segs, n)[idxs]
+    err = scored.error_dva
     return {
-        "fixation": err[kinds == EventKind.FIXATION.value],
-        "small_saccade": err[sac & (cls == "small")],
-        "large_saccade": err[sac & (cls == "large")],
+        "fixation": err[labels == FIXATION],
+        "small_saccade": err[labels == SACCADE],
+        "large_saccade": err[labels == LARGE_SACCADE],
         "cep": err[in_cep[idxs]],
         "all": err,
     }
 
 
 def saccade_progress_curve(
-    records: Sequence[ErrorRecord],
+    scored: ScoredRun,
     segs: Sequence[EventSegment],
     n_bins: int = 10,
     amp_range: tuple[float, float] = (10.0, 20.0),
 ) -> np.ndarray:
     """Median error per normalized-saccade-time bin, amplitude-gated.
 
-    Each record inside a qualifying saccade maps to progress
+    Each row inside a qualifying saccade maps to progress
     (idx - start) / (duration - 1) in [0, 1]; empty bins come back NaN.
     """
     if n_bins < 2:
@@ -307,18 +297,17 @@ def saccade_progress_curve(
         raise InsufficientDataError(
             f"need >= 5 saccades with amplitude in [{lo}, {hi}], got {len(spans)}"
         )
-    per_bin: list[list[float]] = [[] for _ in range(n_bins)]
     starts = np.array([a for a, _ in spans])
     ends = np.array([b for _, b in spans])
-    for r in records:
-        k = np.searchsorted(starts, r.sample_idx, side="right") - 1
-        if k < 0 or r.sample_idx > ends[k]:
-            continue
-        dur = ends[k] - starts[k]
-        progress = (r.sample_idx - starts[k]) / dur if dur > 0 else 0.0
-        b = min(int(progress * n_bins), n_bins - 1)
-        per_bin[b].append(r.error_dva)
-    return np.array([float(np.median(v)) if v else np.nan for v in per_bin])
+    idx = scored.sample_idx
+    k = np.searchsorted(starts, idx, side="right") - 1
+    inside = (k >= 0) & (idx <= ends[k])
+    k, idx, err = k[inside], idx[inside], scored.error_dva[inside]
+    # a one-sample saccade has duration 0 and its only sample progress 0
+    progress = (idx - starts[k]) / np.maximum(ends[k] - starts[k], 1)
+    bins = np.minimum((progress * n_bins).astype(int), n_bins - 1)
+    medians = [np.median(err[bins == b]) if np.any(bins == b) else np.nan for b in range(n_bins)]
+    return np.array(medians, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import CausalLabeler, ClassifierConfig, EventKind, EventSegment
+from .classify import (
+    LARGE_SACCADE,
+    SACCADE,
+    CausalLabeler,
+    ClassifierConfig,
+    EventKind,
+    EventSegment,
+    event_labels,
+)
 from .errors import (
     ConfigError,
     FitError,
@@ -42,7 +50,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
-from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
+from .signal import DiffConfig, GazeRecording, compute_velocity
 
 log = logging.getLogger(__name__)
 
@@ -229,25 +237,16 @@ def _initial_state(z_pos: np.ndarray, r_pos: float) -> tuple[np.ndarray, np.ndar
     return mean, cov
 
 
-def _labels_from_segments(segs: list[EventSegment], n: int) -> np.ndarray:
-    lab = np.zeros(n, dtype=bool)
-    for seg in segs:
-        if seg.kind is EventKind.SACCADE:
-            lab[seg.start_idx : seg.end_idx + 1] = True
-    return lab
-
-
 def opkf_predict_multi(
     rec: GazeRecording,
     cfg: OpkfConfig,
     pi_list: tuple[int, ...],
-    vel: VelocityTrace | None = None,
     segs: list[EventSegment] | None = None,
 ) -> dict[int, PredictionRun]:
     """One causal filter pass, predictions for every PI in pi_list.
 
-    The measurement velocity is always the causal right-edge differentiator
-    computed here unless ``vel`` overrides it. With the default
+    The measurement velocity is always the causal right-edge differentiator,
+    computed here from the recording. With the default
     regime_source="online" the event regime comes from a zero-lookahead
     labeler on that causal velocity; "segments" instead consumes the offline
     labels in ``segs`` (which look ahead, breaking causality — analysis use).
@@ -255,16 +254,13 @@ def opkf_predict_multi(
     every valid sample from there on.
     """
     n = rec.n_samples
-    if vel is None:
-        vel = compute_velocity(rec, DiffConfig(mode="causal"))
-    if len(vel.vx) != n:
-        raise ConfigError("velocity trace misaligned with recording")
+    vel = compute_velocity(rec, DiffConfig(mode="causal"))
     sample_ok = rec.valid.tolist()
     vel_ok = vel.valid.tolist()
     if cfg.regime_source == "segments":
         if segs is None:
             raise ConfigError('regime_source="segments" needs segs')
-        saccade = (_labels_from_segments(segs, n) & rec.valid).tolist()
+        saccade = (np.isin(event_labels(segs, n), (SACCADE, LARGE_SACCADE)) & rec.valid).tolist()
     else:
         labeler = CausalLabeler(cfg.classifier)
         saccade = [
@@ -303,16 +299,6 @@ def opkf_predict_multi(
         predicted = np.einsum("nk,nkj->nj", rows, posterior)
         runs[pi] = PredictionRun.from_issued(rec, "opkf", pi, predicted, rec.valid)
     return runs
-
-
-def opkf_predict_recording(
-    rec: GazeRecording,
-    vel: VelocityTrace | None = None,
-    segs: list[EventSegment] | None = None,
-    cfg: OpkfConfig = OpkfConfig(),
-) -> PredictionRun:
-    """Causal single-PI prediction pass over a whole recording."""
-    return opkf_predict_multi(rec, cfg, (cfg.pi_ms,), vel=vel, segs=segs)[cfg.pi_ms]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import savgol_coeffs
@@ -29,15 +29,6 @@ from .errors import (
 
 RATE_HZ = 1000
 MIN_VALID_FOR_EVALUATION = 1000
-
-
-class GazeSample(NamedTuple):
-    """One monocular gaze sample. Positions are ignored when valid is False."""
-
-    t_ms: int
-    x_dva: float
-    y_dva: float
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -88,13 +79,6 @@ class GazeRecording:
     @property
     def duration_ms(self) -> int:
         return int(self.t_ms[-1] - self.t_ms[0] + 1)
-
-    def sample(self, i: int) -> GazeSample:
-        return GazeSample(int(self.t_ms[i]), float(self.x[i]), float(self.y[i]), bool(self.valid[i]))
-
-    def samples(self) -> Iterator[GazeSample]:
-        for i in range(self.n_samples):
-            yield self.sample(i)
 
     def target_at(self, t_ms: int) -> tuple[float, float] | None:
         """Target position in effect at time t_ms, or None before the first step."""
@@ -178,11 +162,7 @@ def _parse_float(text: str) -> float:
     text = text.strip()
     if not text:
         return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise
-    return math.nan
+    return float(text)
 
 
 def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: str = "") -> GazeRecording:
@@ -311,14 +291,6 @@ def compute_velocity(rec: GazeRecording, cfg: DiffConfig = DiffConfig()) -> Velo
     vy[~ok] = np.nan
     v_radial = np.hypot(vx, vy)
     return VelocityTrace(vx=vx, vy=vy, v_radial=v_radial, valid=ok, cfg=cfg)
-
-
-def check_aligned(rec: GazeRecording, vel: VelocityTrace) -> None:
-    """Raise AlignmentError unless vel lines up 1:1 with rec."""
-    if len(vel.vx) != rec.n_samples:
-        raise AlignmentError(
-            f"velocity trace has {len(vel.vx)} entries for {rec.n_samples} samples"
-        )
 
 
 def recording_from_arrays(

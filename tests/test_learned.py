@@ -93,6 +93,8 @@ class TestMakeWindows:
         sub = wb[2:7]
         assert isinstance(sub, L.WindowBatch)
         assert len(sub) == 5
+        with pytest.raises(ConfigError, match="slices and index arrays"):
+            wb[2]
 
     def test_bad_pi(self):
         rec = ramp_recording(1.0, 0.0, 300)

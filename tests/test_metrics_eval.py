@@ -14,7 +14,7 @@ from gazecast.errors import (
     InsufficientDataError,
 )
 from gazecast.learned import baseline_predict
-from gazecast.opkf import PredictionRun, opkf_predict_recording
+from gazecast.opkf import OpkfConfig, PredictionRun, opkf_predict_multi
 from gazecast.plant import SynthConfig, generate_cohort
 from gazecast.signal import compute_velocity, recording_from_arrays
 
@@ -40,6 +40,13 @@ def run_from(predicted, mask, pi=40, predictor_id="test"):
     )
 
 
+def scored(errors_by_idx):
+    """A score table from {target sample: error}."""
+    return M.ScoredRun(
+        np.array(list(errors_by_idx), dtype=int), np.array(list(errors_by_idx.values()), dtype=float)
+    )
+
+
 class TestScoreRun:
     def test_perfect_prediction_zero_error(self):
         n = 300
@@ -53,9 +60,9 @@ class TestScoreRun:
         predicted[: n - pi, 1] = y[pi:]
         mask = np.zeros(n, dtype=bool)
         mask[: n - pi] = True
-        records = M.score_run(run_from(predicted, mask, pi), rec, three_part_segs(n))
-        assert len(records) == n - pi
-        assert all(r.error_dva == 0.0 for r in records)
+        table = M.score_run(run_from(predicted, mask, pi), rec, three_part_segs(n))
+        assert len(table) == n - pi
+        assert (table.error_dva == 0.0).all()
 
     def test_three_four_five(self):
         n = 200
@@ -63,28 +70,27 @@ class TestScoreRun:
         predicted = np.zeros((n, 2))
         mask = np.zeros(n, dtype=bool)
         mask[10] = True
-        records = M.score_run(
+        table = M.score_run(
             run_from(predicted, mask, 40), rec, [EventSegment(EventKind.FIXATION, 0, n - 1)]
         )
-        assert len(records) == 1
-        assert records[0].error_dva == pytest.approx(5.0, abs=1e-12)
-        assert records[0].sample_idx == 50
+        assert len(table) == 1
+        assert table.error_dva[0] == pytest.approx(5.0, abs=1e-12)
+        assert table.sample_idx[0] == 50
 
     def test_attribution_at_target_time(self):
         # issued during fixation at 120; lands at 160 inside the saccade
         n = 300
-        rec = recording_from_arrays("S", np.zeros(n), np.zeros(n))
+        # x = sample index, so each error names the sample it targeted
+        rec = recording_from_arrays("S", np.arange(n, dtype=float), np.zeros(n))
         predicted = np.zeros((n, 2))
         mask = np.zeros(n, dtype=bool)
         mask[120] = True
         mask[40] = True  # lands at 80, still fixation
         segs = three_part_segs(n, sac=(150, 169), amp=12.0)
-        records = M.score_run(run_from(predicted, mask, 40), rec, segs)
-        by_target = {r.sample_idx: r for r in records}
-        assert by_target[160].event_kind is EventKind.SACCADE
-        assert by_target[160].saccade_class == "large"
-        assert by_target[80].event_kind is EventKind.FIXATION
-        assert by_target[80].saccade_class == "none"
+        split = M.class_errors(M.score_run(run_from(predicted, mask, 40), rec, segs), segs)
+        assert split["large_saccade"].tolist() == [160.0]
+        assert split["small_saccade"].size == 0
+        assert split["fixation"].tolist() == [80.0]
 
     def test_small_class_from_amplitude(self):
         n = 300
@@ -93,8 +99,9 @@ class TestScoreRun:
         mask = np.zeros(n, dtype=bool)
         mask[120] = True
         segs = three_part_segs(n, amp=4.0)
-        (record,) = M.score_run(run_from(predicted, mask, 40), rec, segs)
-        assert record.saccade_class == "small"
+        split = M.class_errors(M.score_run(run_from(predicted, mask, 40), rec, segs), segs)
+        assert split["small_saccade"].size == 1
+        assert split["large_saccade"].size == 0
 
     def test_invalid_target_not_scored(self):
         n = 300
@@ -105,8 +112,8 @@ class TestScoreRun:
         mask = np.zeros(n, dtype=bool)
         mask[120] = True  # targets the invalid sample
         mask[121] = True
-        records = M.score_run(run_from(predicted, mask, 40), rec, three_part_segs(n))
-        assert [r.sample_idx for r in records] == [161]
+        table = M.score_run(run_from(predicted, mask, 40), rec, three_part_segs(n))
+        assert table.sample_idx.tolist() == [161]
 
     def test_alignment_errors(self):
         n = 300
@@ -192,10 +199,10 @@ class TestScoreRun:
         vel = compute_velocity(rec)
         segs = classify_events(rec, vel)
         run = baseline_predict("constant-position", rec, None, 40)
-        records = M.score_run(run, rec, segs)
-        errs = np.array([r.error_dva for r in records])
+        table = M.score_run(run, rec, segs)
+        errs = table.error_dva
         assert np.isfinite(errs).all() and (errs >= 0).all()
-        assert len(records) == int(run.valid_mask.sum())
+        assert len(table) == int(run.valid_mask.sum())
 
 
 class TestCepIntervals:
@@ -247,22 +254,14 @@ class TestCepIntervals:
 
 
 class TestClassErrors:
-    def record(self, idx, kind, cls, err):
-        return M.ErrorRecord(idx, kind, cls, err)
-
     def test_routing(self):
         segs = [
             EventSegment(EventKind.FIXATION, 0, 479),
             EventSegment(EventKind.SACCADE, 480, 500, sacc_props(15.0)),
             EventSegment(EventKind.FIXATION, 501, 999),
         ]
-        records = [
-            self.record(100, EventKind.FIXATION, "none", 0.1),
-            self.record(490, EventKind.SACCADE, "large", 3.0),
-            self.record(550, EventKind.FIXATION, "none", 0.5),  # inside CEP window
-            self.record(700, EventKind.FIXATION, "none", 0.2),
-        ]
-        split = M.class_errors(records, segs)
+        table = scored({100: 0.1, 490: 3.0, 550: 0.5, 700: 0.2})  # 550: inside CEP window
+        split = M.class_errors(table, segs)
         assert split["fixation"].tolist() == [0.1, 0.5, 0.2]
         assert split["large_saccade"].tolist() == [3.0]
         assert split["small_saccade"].size == 0
@@ -277,13 +276,12 @@ class TestClassErrors:
             EventSegment(EventKind.OTHER, 501, 520),
             EventSegment(EventKind.FIXATION, 521, 999),
         ]
-        records = [self.record(510, EventKind.OTHER, "none", 1.0)]
-        split = M.class_errors(records, segs)
+        split = M.class_errors(scored({510: 1.0}), segs)
         assert split["cep"].tolist() == [1.0]
         assert split["fixation"].size == 0
 
     def test_empty_records(self):
-        split = M.class_errors([], [EventSegment(EventKind.FIXATION, 0, 99)])
+        split = M.class_errors(scored({}), [EventSegment(EventKind.FIXATION, 0, 99)])
         assert all(split[k].size == 0 for k in M.EVENT_CLASSES)
 
     @pytest.mark.parametrize(
@@ -296,15 +294,10 @@ class TestClassErrors:
     )
     def test_record_outside_segments(self, idx, segs):
         with pytest.raises(AlignmentError, match="outside"):
-            M.class_errors([self.record(idx, EventKind.FIXATION, "none", 0.1)], segs)
+            M.class_errors(scored({idx: 0.1}), segs)
 
 
 class TestSaccadeProgressCurve:
-    def make_records(self, segs, errors_by_idx):
-        return [
-            M.ErrorRecord(i, EventKind.SACCADE, "large", e) for i, e in errors_by_idx.items()
-        ]
-
     def qualifying_segs(self, n_sacc=5, dur=11, gap=200, amp=15.0):
         segs = []
         pos = 0
@@ -323,7 +316,7 @@ class TestSaccadeProgressCurve:
         sacc = [s for s in segs if s.kind is EventKind.SACCADE][0]
         # errors 0..10 land one per bin: bin k collects error k (except last two)
         errors = {sacc.start_idx + j: float(j) for j in range(11)}
-        curve = M.saccade_progress_curve(self.make_records(segs, errors), segs)
+        curve = M.saccade_progress_curve(scored(errors), segs)
         # progress j/10 -> bins 0..9, with progress 1.0 clamped into bin 9
         assert curve[:9].tolist() == [float(j) for j in range(9)]
         assert curve[9] == pytest.approx(9.5)  # samples 9 and 10 share the last bin
@@ -335,13 +328,13 @@ class TestSaccadeProgressCurve:
             if s.kind is EventKind.SACCADE:
                 for j in range(s.start_idx, s.end_idx + 1):
                     errors[j] = 2.5
-        curve = M.saccade_progress_curve(self.make_records(segs, errors), segs)
+        curve = M.saccade_progress_curve(scored(errors), segs)
         assert np.allclose(curve, 2.5)
 
     def test_amplitude_filter_and_minimum(self):
         segs = self.qualifying_segs(n_sacc=5, amp=5.0)  # all below [10, 20]
         with pytest.raises(InsufficientDataError):
-            M.saccade_progress_curve([], segs)
+            M.saccade_progress_curve(scored({}), segs)
 
     def test_out_of_saccade_records_ignored(self):
         segs = self.qualifying_segs(dur=21)
@@ -350,15 +343,14 @@ class TestSaccadeProgressCurve:
             if s.kind is EventKind.SACCADE:
                 for j in range(s.start_idx, s.end_idx + 1):
                     errors[j] = 1.0
-        records = self.make_records(segs, errors)
-        records.append(M.ErrorRecord(10, EventKind.FIXATION, "none", 99.0))
-        curve = M.saccade_progress_curve(records, segs)
+        errors[10] = 99.0
+        curve = M.saccade_progress_curve(scored(errors), segs)
         assert np.allclose(curve, 1.0)
 
     def test_bad_bins(self):
         segs = self.qualifying_segs()
         with pytest.raises(ConfigError):
-            M.saccade_progress_curve([], segs, n_bins=1)
+            M.saccade_progress_curve(scored({}), segs, n_bins=1)
 
 
 class TestSubjectStats:
@@ -446,7 +438,7 @@ class TestCohortConcordance:
                 vel = compute_velocity(rec)
                 segs = classify_events(rec, vel)
                 if kind is None:
-                    run = opkf_predict_recording(rec, vel, segs)
+                    run = opkf_predict_multi(rec, OpkfConfig(), (40,))[40]
                 else:
                     run = baseline_predict(kind, rec, vel, 40)
                 errs = M.class_errors(M.score_run(run, rec, segs), segs)["fixation"]
