@@ -187,9 +187,9 @@ class TestScoreRun:
                     break
             expected["all"].append(err)
 
-        scored = M.score_run(run_from(predicted, mask, pi), rec, segs)
-        assert len(scored) == len(expected["all"])
-        split = M.class_errors(scored, segs)
+        table = M.score_run(run_from(predicted, mask, pi), rec, segs)
+        assert len(table) == len(expected["all"])
+        split = M.class_errors(table, segs)
         for name in M.EVENT_CLASSES:
             assert split[name].tolist() == expected[name], name
 
