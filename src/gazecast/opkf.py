@@ -19,18 +19,31 @@ Measurements are position plus a causal (right-edge) Savitzky-Golay
 velocity, so every prediction issued at time t depends only on samples <= t.
 A sample without a velocity estimate measures position alone. The
 measurement matrix therefore only selects the first one or two state rows:
-the update reads the innovation covariance and the gain off slices of the
-state covariance and inverts the 1x1 or 2x2 innovation covariance in closed
-form. The PI-ahead output propagates the posterior pi_ms steps holding the
-current regime. Per-subject plant parameters can be fitted by Nelder-Mead on
-a calibration slice of the subject's own saccades.
+the update reads the innovation covariance and the gain off the state
+covariance and inverts the 1x1 or 2x2 innovation covariance in closed form.
+
+The recursion runs on Python floats, with no numpy call per sample: at this
+size (4 states, 2 axes) the fixed cost of a numpy call outweighs its
+arithmetic. Each step is written out entry by entry. The time update forms
+T = Phi P and only the upper triangle of T Phi^T + Q, so the covariance is
+symmetric by construction and is carried as its 10 unique entries; the
+measurement update keeps the Joseph form. The posterior means are collected
+in a flat float array, and everything outside the recursion stays
+vectorized: the regime labels before it, the divergence check and the
+PI-ahead output after it. That output propagates the posterior pi_ms steps
+holding the current regime. Per-subject plant parameters can be fitted by
+Nelder-Mead on a calibration slice of the subject's own saccades.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -54,66 +67,204 @@ from .signal import DiffConfig, GazeRecording, compute_velocity
 
 log = logging.getLogger(__name__)
 
-_EYE4 = np.eye(4)
-
-
 # ---------------------------------------------------------------------------
-# Kalman core: 4 states; the mean may carry several columns (one per axis)
-# that share one covariance
+# Kalman core on Python floats. A mean is the 8 floats of a (4, 2) posterior
+# row in row-major order (x0, y0, x1, y1, x2, y2, x3, y3): one column per
+# axis, sharing one covariance. A covariance is the 10 floats of its upper
+# triangle in row-major order (p00, p01, p02, p03, p11, p12, p13, p22, p23,
+# p33). Phi is 16 floats row-major, Q the 4 floats of its diagonal.
 
 
-def kalman_predict(mean, cov, phi, phi_t, q):
-    """Time update; ``phi_t`` is ``phi.T``, passed in so callers transpose once."""
-    cov = phi @ cov @ phi_t + q
-    return phi @ mean, 0.5 * (cov + cov.T)
+def kalman_predict(mean, cov, phi, q):
+    """Time update: Phi mean and the upper triangle of Phi P Phi^T + Q."""
+    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = phi
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # T = Phi P
+    t00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
+    t01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
+    t02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
+    t03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
+    t10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
+    t11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
+    t12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
+    t13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
+    t20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
+    t21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
+    t22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
+    t23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
+    t30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
+    t31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
+    t32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
+    t33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
+    q0, q1, q2, q3 = q
+    mean = (
+        a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3,
+        a00 * y0 + a01 * y1 + a02 * y2 + a03 * y3,
+        a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3,
+        a10 * y0 + a11 * y1 + a12 * y2 + a13 * y3,
+        a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3,
+        a20 * y0 + a21 * y1 + a22 * y2 + a23 * y3,
+        a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3,
+        a30 * y0 + a31 * y1 + a32 * y2 + a33 * y3,
+    )
+    # upper triangle of T Phi^T + Q; the lower one mirrors it
+    cov = (
+        t00 * a00 + t01 * a01 + t02 * a02 + t03 * a03 + q0,
+        t00 * a10 + t01 * a11 + t02 * a12 + t03 * a13,
+        t00 * a20 + t01 * a21 + t02 * a22 + t03 * a23,
+        t00 * a30 + t01 * a31 + t02 * a32 + t03 * a33,
+        t10 * a10 + t11 * a11 + t12 * a12 + t13 * a13 + q1,
+        t10 * a20 + t11 * a21 + t12 * a22 + t13 * a23,
+        t10 * a30 + t11 * a31 + t12 * a32 + t13 * a33,
+        t20 * a20 + t21 * a21 + t22 * a22 + t23 * a23 + q2,
+        t20 * a30 + t21 * a31 + t22 * a32 + t23 * a33,
+        t30 * a30 + t31 * a31 + t32 * a32 + t33 * a33 + q3,
+    )
+    return mean, cov
 
 
-def _pd_inverse(s) -> np.ndarray | None:
-    """Closed-form inverse of a 1x1 or 2x2 matrix given as nested lists.
+def _pd_inverse(s) -> tuple[float, ...] | None:
+    """Closed-form inverse of a symmetric 1x1 ``(a,)`` or 2x2 ``(a, b, d)``.
 
-    The matrix is re-symmetrized first. Returns None unless it is positive
-    definite (the condition under which a Cholesky factorization exists).
+    Returns the inverse in the same packing, or None unless the matrix is
+    positive definite (the condition under which a Cholesky factorization
+    exists).
     """
     if len(s) == 1:
-        ((a,),) = s
-        return np.array([[1.0 / a]]) if a > 0 else None
-    (a, b), (c, d) = s
-    b = 0.5 * (b + c)
+        (a,) = s
+        return (1.0 / a,) if a > 0 else None
+    a, b, d = s
     det = a * d - b * b
     if a > 0 and det > 0:
-        return np.array([[d / det, -b / det], [-b / det, a / det]])
+        return (d / det, -b / det, a / det)
     return None
 
 
-def kalman_update(mean, cov, z, r):
-    """Joseph-form update with ``z`` measuring the first ``len(z)`` state rows.
-
-    ``r`` is the (m, m) measurement noise. Because H only selects rows,
-    S = cov[:m, :m] + R, the gain is cov[:, :m] S^-1 and I - KH is the
-    identity with the gain subtracted from its first m columns. If S is not
-    positive definite it is jittered once by (1e-9 + 1e-9 trace S) I, which
-    is logged; if that does not help, InstabilityError.
-    """
-    m = len(z)
-    s = (cov[:m, :m] + r).tolist()
-    s_inv = _pd_inverse(s)
+def _jittered_pd_inverse(s) -> tuple[float, ...]:
+    """Inverse of S + (1e-9 + 1e-9 trace S) I, logged; InstabilityError if
+    that is still not positive definite."""
+    jitter = 1e-9 + 1e-9 * sum(s[::2])
+    if len(s) == 1:
+        s_inv = _pd_inverse((s[0] + jitter,))
+    else:
+        s_inv = _pd_inverse((s[0] + jitter, s[1], s[2] + jitter))
     if s_inv is None:
-        jitter = 1e-9 + 1e-9 * sum(s[k][k] for k in range(m))
-        for k in range(m):
-            s[k][k] += jitter
-        s_inv = _pd_inverse(s)
-        if s_inv is None:
-            raise InstabilityError("innovation covariance not positive definite")
-        log.warning("innovation covariance not positive definite; added %.3g jitter", jitter)
-    gain = cov[:, :m] @ s_inv
-    mean = mean + gain @ (z - mean[:m])
-    ikh = _EYE4 - gain @ _EYE4[:m]
-    cov = ikh @ cov @ ikh.T + gain @ r @ gain.T
-    return mean, 0.5 * (cov + cov.T)
+        raise InstabilityError("innovation covariance not positive definite")
+    log.warning("innovation covariance not positive definite; added %.3g jitter", jitter)
+    return s_inv
+
+
+def kalman_update(mean, cov, z, r):
+    """Joseph-form update measuring the first ``len(r)`` state rows.
+
+    ``z`` is (x, y) for position alone or (x, y, vx, vy) for position and
+    velocity; ``r`` holds the matching diagonal of R, (r_pos,) or (r_pos,
+    r_vel). Because H only selects rows, S is the leading 1x1 or 2x2 block
+    of P plus R, the gain K is the first columns of P times S^-1, and
+    I - KH is the identity with K subtracted from its first columns. Then
+    B = (I - KH) P and P = B (I - KH)^T + K R K^T. If S is not positive
+    definite it is jittered once by (1e-9 + 1e-9 trace S) I, which is
+    logged; if that does not help, InstabilityError.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    if len(r) == 1:
+        (r0,) = r
+        zx, zy = z
+        s = (p00 + r0,)
+        (i00,) = _pd_inverse(s) or _jittered_pd_inverse(s)
+        k0, k1, k2, k3 = p00 * i00, p01 * i00, p02 * i00, p03 * i00
+        ex, ey = zx - x0, zy - y0
+        mean = (
+            x0 + k0 * ex,
+            y0 + k0 * ey,
+            x1 + k1 * ex,
+            y1 + k1 * ey,
+            x2 + k2 * ex,
+            y2 + k2 * ey,
+            x3 + k3 * ex,
+            y3 + k3 * ey,
+        )
+        # B = (I - KH) P: row i of P minus k_i times row 0
+        b00, b01, b02, b03 = p00 - k0 * p00, p01 - k0 * p01, p02 - k0 * p02, p03 - k0 * p03
+        b10, b11, b12, b13 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02, p13 - k1 * p03
+        b20, b22, b23 = p02 - k2 * p00, p22 - k2 * p02, p23 - k2 * p03
+        b30, b33 = p03 - k3 * p00, p33 - k3 * p03
+        # upper triangle of B (I - KH)^T + K R K^T
+        cov = (
+            b00 - b00 * k0 + r0 * k0 * k0,
+            b01 - b00 * k1 + r0 * k0 * k1,
+            b02 - b00 * k2 + r0 * k0 * k2,
+            b03 - b00 * k3 + r0 * k0 * k3,
+            b11 - b10 * k1 + r0 * k1 * k1,
+            b12 - b10 * k2 + r0 * k1 * k2,
+            b13 - b10 * k3 + r0 * k1 * k3,
+            b22 - b20 * k2 + r0 * k2 * k2,
+            b23 - b20 * k3 + r0 * k2 * k3,
+            b33 - b30 * k3 + r0 * k3 * k3,
+        )
+        return mean, cov
+
+    r0, r1 = r
+    zx, zy, zvx, zvy = z
+    s = (p00 + r0, p01, p11 + r1)
+    i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
+    # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
+    k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
+    k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
+    k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
+    k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
+    ex, ey, evx, evy = zx - x0, zy - y0, zvx - x1, zvy - y1
+    mean = (
+        x0 + k00 * ex + k01 * evx,
+        y0 + k00 * ey + k01 * evy,
+        x1 + k10 * ex + k11 * evx,
+        y1 + k10 * ey + k11 * evy,
+        x2 + k20 * ex + k21 * evx,
+        y2 + k20 * ey + k21 * evy,
+        x3 + k30 * ex + k31 * evx,
+        y3 + k30 * ey + k31 * evy,
+    )
+    # B = (I - KH) P: row i of P minus k_i0 times row 0 and k_i1 times row 1
+    b00 = p00 - k00 * p00 - k01 * p01
+    b01 = p01 - k00 * p01 - k01 * p11
+    b02 = p02 - k00 * p02 - k01 * p12
+    b03 = p03 - k00 * p03 - k01 * p13
+    b10 = p01 - k10 * p00 - k11 * p01
+    b11 = p11 - k10 * p01 - k11 * p11
+    b12 = p12 - k10 * p02 - k11 * p12
+    b13 = p13 - k10 * p03 - k11 * p13
+    b20 = p02 - k20 * p00 - k21 * p01
+    b21 = p12 - k20 * p01 - k21 * p11
+    b22 = p22 - k20 * p02 - k21 * p12
+    b23 = p23 - k20 * p03 - k21 * p13
+    b30 = p03 - k30 * p00 - k31 * p01
+    b31 = p13 - k30 * p01 - k31 * p11
+    b33 = p33 - k30 * p03 - k31 * p13
+    # upper triangle of B (I - KH)^T + K R K^T
+    cov = (
+        b00 - b00 * k00 - b01 * k01 + r0 * k00 * k00 + r1 * k01 * k01,
+        b01 - b00 * k10 - b01 * k11 + r0 * k00 * k10 + r1 * k01 * k11,
+        b02 - b00 * k20 - b01 * k21 + r0 * k00 * k20 + r1 * k01 * k21,
+        b03 - b00 * k30 - b01 * k31 + r0 * k00 * k30 + r1 * k01 * k31,
+        b11 - b10 * k10 - b11 * k11 + r0 * k10 * k10 + r1 * k11 * k11,
+        b12 - b10 * k20 - b11 * k21 + r0 * k10 * k20 + r1 * k11 * k21,
+        b13 - b10 * k30 - b11 * k31 + r0 * k10 * k30 + r1 * k11 * k31,
+        b22 - b20 * k20 - b21 * k21 + r0 * k20 * k20 + r1 * k21 * k21,
+        b23 - b20 * k30 - b21 * k31 + r0 * k20 * k30 + r1 * k21 * k31,
+        b33 - b30 * k30 - b31 * k31 + r0 * k30 * k30 + r1 * k31 * k31,
+    )
+    return mean, cov
 
 
 # ---------------------------------------------------------------------------
 # configuration and state
+
+
+def _check_pi(pi_ms) -> None:
+    if not isinstance(pi_ms, numbers.Integral) or pi_ms < 1:
+        raise ConfigError(f"pi_ms must be an integer >= 1, got {pi_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +286,20 @@ class OpkfConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
-        if self.pi_ms < 1:
-            raise ConfigError(f"pi_ms must be >= 1, got {self.pi_ms}")
+        _check_pi(self.pi_ms)
         if self.regime_source not in ("online", "segments"):
             raise ConfigError(f"unknown regime_source {self.regime_source!r}")
+        # comparisons with NaN are False, so each check is written to pass
+        # only for a finite value in range
         for name in ("q_fix_pos", "q_fix_vel", "q_fix_force", "q_sac_pos", "q_sac_vel", "q_sac_force"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("r_pos", "r_vel"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
+        if not 0 <= self.precision_dva < math.inf:
+            raise ConfigError(f"precision_dva must be >= 0 and finite, got {self.precision_dva}")
 
     def measurement_noise(self) -> tuple[float, float]:
         """(r_pos, r_vel) variances, derived from precision unless overridden.
@@ -193,8 +351,8 @@ class PredictionRun:
 class _RegimeMatrices:
     """Discrete transition/process matrices per regime plus PI-ahead rows.
 
-    ``step[saccade]`` is the (phi, phi.T, q) triple that ``kalman_predict``
-    takes.
+    ``step[saccade]`` is the (phi, q) pair of float tuples that
+    ``kalman_predict`` takes.
     """
 
     def __init__(self, cfg: OpkfConfig, pi_list: tuple[int, ...]):
@@ -209,32 +367,40 @@ class _RegimeMatrices:
             a_fix[row, row] = alpha
             a_fix[row, 0] = sgn * (1.0 - alpha)
         self.phi_fix = a_fix
-        self.q_fix = np.diag([cfg.q_fix_pos, cfg.q_fix_vel, cfg.q_fix_force, cfg.q_fix_force])
 
         phi_phys, _ = transition_matrices(p, 1.0)
         scale = np.diag([1.0, 1.0, 2.0 / k, 2.0 / k])
         unscale = np.diag([1.0, 1.0, k / 2.0, k / 2.0])
         self.phi_sac = scale @ phi_phys @ unscale
-        self.q_sac = np.diag([cfg.q_sac_pos, cfg.q_sac_vel, cfg.q_sac_force, cfg.q_sac_force])
 
         self.pi_rows: dict[tuple[bool, int], np.ndarray] = {}
         for pi in pi_list:
             self.pi_rows[(False, pi)] = np.linalg.matrix_power(self.phi_fix, pi)[0]
             self.pi_rows[(True, pi)] = np.linalg.matrix_power(self.phi_sac, pi)[0]
 
-        self.step = {
-            False: (self.phi_fix, self.phi_fix.T, self.q_fix),
-            True: (self.phi_sac, self.phi_sac.T, self.q_sac),
-        }
+        # .tolist() gives Python floats; numpy scalars would be slower
+        self.step = (
+            (
+                tuple(self.phi_fix.ravel().tolist()),
+                (cfg.q_fix_pos, cfg.q_fix_vel, cfg.q_fix_force, cfg.q_fix_force),
+            ),
+            (
+                tuple(self.phi_sac.ravel().tolist()),
+                (cfg.q_sac_pos, cfg.q_sac_vel, cfg.q_sac_force, cfg.q_sac_force),
+            ),
+        )
 
 
-def _initial_state(z_pos: np.ndarray, r_pos: float) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.zeros((4, 2))
-    mean[0] = z_pos
-    mean[2] = z_pos
-    mean[3] = -z_pos
-    cov = np.diag([max(r_pos, 1e-6), 500.0**2, 25.0, 25.0])
+def _initial_state(x: float, y: float, r_pos: float) -> tuple[tuple, tuple]:
+    """Position and the agonist/antagonist holding pair (g_ag = theta,
+    g_ant = -theta) at the first sample, with a wide velocity prior."""
+    mean = (x, y, 0.0, 0.0, x, y, -x, -y)
+    cov = (max(r_pos, 1e-6), 0.0, 0.0, 0.0, 500.0**2, 0.0, 0.0, 25.0, 0.0, 25.0)
     return mean, cov
+
+
+def _floats(values: np.ndarray) -> array:
+    return array("d", np.asarray(values, dtype=np.float64).tobytes())
 
 
 def opkf_predict_multi(
@@ -251,8 +417,10 @@ def opkf_predict_multi(
     labeler on that causal velocity; "segments" instead consumes the offline
     labels in ``segs`` (which look ahead, breaking causality — analysis use).
     The filter starts at the first valid sample and issues a prediction at
-    every valid sample from there on.
+    every valid sample from there on. Each PI must be an integer >= 1.
     """
+    for pi in pi_list:
+        _check_pi(pi)
     n = rec.n_samples
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
     sample_ok = rec.valid.tolist()
@@ -270,27 +438,37 @@ def opkf_predict_multi(
 
     matrices = _RegimeMatrices(cfg, tuple(pi_list))
     r_pos, r_vel = cfg.measurement_noise()
-    r_full = np.diag([r_pos, r_vel])
-    r_pos_only = np.array([[r_pos]])
-    # z[i] = [[x, y], [vx, vy]]: the measured state rows of sample i
-    z = np.stack([np.column_stack([rec.x, rec.y]), np.column_stack([vel.vx, vel.vy])], axis=1)
+    r_full = (r_pos, r_vel)
+    r_pos_only = (r_pos,)
 
-    posterior = np.full((n, 4, 2), np.nan)
+    # Posterior rows go into a flat float array, 8 per sample, in the
+    # (4, 2) row-major order of a mean.
+    flat = array("d")
     valid_idx = np.flatnonzero(rec.valid)
     start = int(valid_idx[0]) if valid_idx.size else n
-    for i in range(start, n):
-        if i == start:
-            mean, cov = _initial_state(z[i, 0], r_pos)
-        else:
-            mean, cov = kalman_predict(mean, cov, *matrices.step[saccade[i]])
-            if sample_ok[i]:
-                if vel_ok[i]:
-                    mean, cov = kalman_update(mean, cov, z[i], r_full)
+    if start < n:
+        mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]), r_pos)
+        flat.extend(mean)
+        columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
+        samples = zip(saccade, sample_ok, vel_ok, *columns)
+        step = matrices.step
+        for sac, s_ok, v_ok, x, y, vx, vy in islice(samples, start + 1, None):
+            mean, cov = kalman_predict(mean, cov, *step[sac])
+            if s_ok:
+                if v_ok:
+                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), r_full)
                 else:
-                    mean, cov = kalman_update(mean, cov, z[i, :1], r_pos_only)
-        if not np.isfinite(mean).all():
-            raise InstabilityError(f"filter diverged at sample {i}")
-        posterior[i] = mean
+                    mean, cov = kalman_update(mean, cov, (x, y), r_pos_only)
+            flat.extend(mean)
+
+    posterior = np.full((n, 4, 2), np.nan)
+    posterior[start:] = np.frombuffer(flat).reshape(-1, 4, 2)
+    # The covariance does not depend on the measurements, so a diverged mean
+    # cannot make a later step fail first; the first non-finite row is the
+    # sample at which a per-sample check would have stopped.
+    finite = np.isfinite(posterior[start:]).all(axis=(1, 2))
+    if not finite.all():
+        raise InstabilityError(f"filter diverged at sample {start + int(np.argmin(finite))}")
 
     in_saccade = np.array(saccade, dtype=bool)[:, None]
     runs = {}

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazecast import opkf as O
-from gazecast.classify import EventKind, EventSegment
+from gazecast.classify import CausalLabeler, EventKind, EventSegment, classify_events
 from gazecast.errors import ConfigError, InstabilityError
-from gazecast.plant import DEFAULT_PARAMS
-from gazecast.signal import recording_from_arrays
+from gazecast.plant import DEFAULT_PARAMS, SynthConfig, generate_cohort
+from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
 PIS = (20, 40, 60)
 
@@ -41,6 +41,13 @@ def short_rec(reference):
     """The first 600 reference samples: a leading blink, a saccade, a blink."""
     _, rec, _ = reference
     return recording_from_arrays("short", rec.x[:600], rec.y[:600], valid=rec.valid[:600])
+
+
+@pytest.fixture(scope="module")
+def subject():
+    """A 12 s synthetic subject with 11 detected saccades and no blinks."""
+    rec = generate_cohort(SynthConfig(n_subjects=1, duration_s=12.0, rng_seed=1))[0].recording
+    return rec, classify_events(rec, compute_velocity(rec))
 
 
 def predict(rec, **kw):
@@ -119,6 +126,79 @@ class TestFilterProperties:
                 predict(rec)
 
 
+    @pytest.mark.parametrize("speed", [2.0, 5.0, 10.0])
+    def test_fixation_ramp_extrapolates_over_pi(self, speed):
+        # constant velocity below the saccade threshold: the fixation regime
+        # is constant-velocity kinematics, so it extrapolates the ramp
+        t = np.arange(3000) / 1000.0
+        x, y = 1.0 + 0.8 * speed * t, -2.0 + 0.6 * speed * t
+        runs = predict(recording_from_arrays("ramp", x, y))
+        for pi, run in runs.items():
+            idx = np.flatnonzero(run.valid_mask)
+            idx = idx[idx >= 1000]
+            assert idx.size == 2000 - pi
+            truth = np.column_stack([x[idx + pi], y[idx + pi]])
+            np.testing.assert_allclose(run.predicted[idx], truth, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("pi_list", [(-5,), (40.5,), (0,), (20, 0)])
+    def test_bad_pi_rejected(self, short_rec, pi_list):
+        with pytest.raises(ConfigError, match="pi_ms"):
+            O.opkf_predict_multi(short_rec, O.OpkfConfig(), pi_list)
+
+
+class TestDenseReference:
+    def test_long_recording_matches_dense_loop(self, subject):
+        """The float step against textbook numpy predict + dense_update over
+        12 s, long fixations included (the reference file is 1.8 s)."""
+        rec, _ = subject
+        cfg = O.OpkfConfig()
+        runs = O.opkf_predict_multi(rec, cfg, PIS)
+        want = dense_filter(rec, cfg, PIS)
+        for pi in PIS:
+            mask = runs[pi].valid_mask
+            assert mask.sum() == rec.n_samples - pi
+            np.testing.assert_allclose(runs[pi].predicted[mask], want[pi][mask], rtol=0, atol=1e-12)
+
+
+def dense_filter(rec, cfg, pis):
+    """Predictions of a dense-matrix filter with the same regimes, noise and
+    start state as ``opkf_predict_multi``."""
+    vel = compute_velocity(rec, DiffConfig(mode="causal"))
+    labeler = CausalLabeler(cfg.classifier)
+    sac = np.array(
+        [labeler.update(*a) is EventKind.SACCADE for a in zip(vel.v_radial, vel.valid, rec.valid)]
+    )
+    mats = O._RegimeMatrices(cfg, pis)
+    phis = {False: mats.phi_fix, True: mats.phi_sac}
+    qs = {
+        False: np.diag([cfg.q_fix_pos, cfg.q_fix_vel, cfg.q_fix_force, cfg.q_fix_force]),
+        True: np.diag([cfg.q_sac_pos, cfg.q_sac_vel, cfg.q_sac_force, cfg.q_sac_force]),
+    }
+    r_pos, r_vel = cfg.measurement_noise()
+    z = np.stack([np.column_stack([rec.x, rec.y]), np.column_stack([vel.vx, vel.vy])], axis=1)
+    post = np.full((rec.n_samples, 4, 2), np.nan)
+    start = int(np.flatnonzero(rec.valid)[0])
+    mean = np.array([z[start, 0], [0.0, 0.0], z[start, 0], -z[start, 0]])
+    cov = np.diag([max(r_pos, 1e-6), 500.0**2, 25.0, 25.0])
+    post[start] = mean
+    for i in range(start + 1, rec.n_samples):
+        phi, q = phis[sac[i]], qs[sac[i]]
+        mean = phi @ mean
+        cov = phi @ cov @ phi.T + q
+        cov = 0.5 * (cov + cov.T)
+        if rec.valid[i]:
+            if vel.valid[i]:
+                mean, cov = dense_update(mean, cov, z[i], np.diag([r_pos, r_vel]))
+            else:
+                mean, cov = dense_update(mean, cov, z[i, :1], np.array([[r_pos]]))
+        post[i] = mean
+    out = {}
+    for pi in pis:
+        rows = {s: np.linalg.matrix_power(phis[s], pi)[0] for s in (False, True)}
+        out[pi] = np.array([rows[s] @ m for s, m in zip(sac, post)])
+    return out
+
+
 def dense_update(mean, cov, z, r):
     """Textbook Joseph-form update with an explicit H and a generic solve."""
     m = len(z)
@@ -130,17 +210,62 @@ def dense_update(mean, cov, z, r):
     return mean + gain @ (z - h @ mean), 0.5 * (new_cov + new_cov.T)
 
 
+UPPER = np.triu_indices(4)
+
+
+def unpack_cov(packed):
+    cov = np.zeros((4, 4))
+    cov[UPPER] = packed
+    cov.T[UPPER] = packed
+    return cov
+
+
+def update(mean, cov, z, r):
+    """``kalman_update`` on dense arrays: (4, 2) mean, (4, 4) cov, (m, 2) z,
+    diagonal (m, m) r in, dense mean and covariance out."""
+    new_mean, new_cov = O.kalman_update(
+        tuple(mean.ravel().tolist()),
+        tuple(cov[UPPER].tolist()),
+        tuple(z.ravel().tolist()),
+        tuple(np.diag(r).tolist()),
+    )
+    assert len(new_mean) == 8 and len(new_cov) == 10
+    return np.reshape(new_mean, (4, 2)), unpack_cov(new_cov)
+
+
+def random_state(rng):
+    a = rng.normal(size=(4, 4))
+    return rng.normal(size=(4, 2)), a @ a.T + 0.1 * np.eye(4)
+
+
+class TestKalmanPredict:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_form(self, seed):
+        rng = np.random.default_rng(seed)
+        mean, cov = random_state(rng)
+        phi = rng.normal(size=(4, 4))
+        q = rng.uniform(0.01, 1.0, 4)
+        got_mean, got_cov = O.kalman_predict(
+            tuple(mean.ravel().tolist()),
+            tuple(cov[UPPER].tolist()),
+            tuple(phi.ravel().tolist()),
+            tuple(q.tolist()),
+        )
+        np.testing.assert_allclose(np.reshape(got_mean, (4, 2)), phi @ mean, rtol=1e-9, atol=1e-12)
+        want = phi @ cov @ phi.T + np.diag(q)
+        np.testing.assert_allclose(unpack_cov(got_cov), want, rtol=1e-9, atol=1e-12)
+
+
 class TestKalmanUpdate:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_form(self, seed, m):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 4))
-        cov = a @ a.T + 0.1 * np.eye(4)
-        mean = rng.normal(size=(4, 2))
+        mean, cov = random_state(rng)
         z = rng.normal(size=(m, 2))
         r = np.diag(rng.uniform(0.01, 1.0, m))
-        got = O.kalman_update(mean, cov, z, r)
+        got = update(mean, cov, z, r)
         want = dense_update(mean, cov, z, r)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
@@ -149,9 +274,7 @@ class TestKalmanUpdate:
     def test_singular_innovation_jitters_and_logs(self, caplog):
         cov = np.diag([0.0, 1.0, 1.0, 1.0])
         with caplog.at_level(logging.WARNING, logger="gazecast.opkf"):
-            mean, new_cov = O.kalman_update(
-                np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1))
-            )
+            mean, new_cov = update(np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1)))
         jitter = [r for r in caplog.records if r.name == "gazecast.opkf"]
         # S = 0 with a zero trace gets the 1e-9 floor
         assert len(jitter) == 1 and "1e-09 jitter" in jitter[0].getMessage()
@@ -160,13 +283,38 @@ class TestKalmanUpdate:
     def test_negative_innovation_raises(self):
         cov = np.diag([-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(InstabilityError, match="positive definite"):
-            O.kalman_update(np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1)))
+            update(np.zeros((4, 2)), cov, np.ones((1, 2)), np.zeros((1, 1)))
 
     def test_indefinite_2x2_raises(self):
         cov = np.eye(4)
         cov[0, 1] = cov[1, 0] = 2.0  # det of the position/velocity block is -3
         with pytest.raises(InstabilityError):
-            O.kalman_update(np.zeros((4, 2)), cov, np.ones((2, 2)), np.zeros((2, 2)))
+            update(np.zeros((4, 2)), cov, np.ones((2, 2)), np.zeros((2, 2)))
+
+
+NAN = float("nan")
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"q_fix_pos": NAN},
+            {"q_sac_vel": NAN},
+            {"q_fix_force": 0.0},
+            {"r_pos": -1e-4},
+            {"r_pos": NAN},
+            {"r_vel": -1.0},
+            {"r_vel": NAN},
+            {"precision_dva": -1.0},
+            {"precision_dva": NAN},
+            {"pi_ms": 0},
+            {"pi_ms": 40.5},
+        ],
+    )
+    def test_bad_values_rejected_when_built(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            O.OpkfConfig(**kw)
 
 
 class TestNelderMead:
@@ -185,6 +333,15 @@ class TestNelderMead:
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
         assert res.n_evals <= 1000
+
+
+class TestFit:
+    def test_fit_never_scores_worse_than_base(self, subject):
+        rec, segs = subject
+        fit = O.fit_subject_params(rec, segs, max_evals=15)
+        assert fit.cal_error <= fit.base_error
+        if fit.cal_error == fit.base_error:  # the fit did not beat the base
+            assert fit.params == DEFAULT_PARAMS
 
 
 class TestFitPersistence:
