@@ -399,8 +399,9 @@ def _initial_state(x: float, y: float, r_pos: float) -> tuple[tuple, tuple]:
     return mean, cov
 
 
-def _floats(values: np.ndarray) -> array:
-    return array("d", np.asarray(values, dtype=np.float64).tobytes())
+def _floats(values: np.ndarray) -> memoryview:
+    """A view that yields Python floats, without copying a float64 array."""
+    return memoryview(np.ascontiguousarray(values, dtype=np.float64))
 
 
 def opkf_predict_multi(
@@ -442,10 +443,10 @@ def opkf_predict_multi(
     r_pos_only = (r_pos,)
 
     # Posterior rows go into a flat float array, 8 per sample, in the
-    # (4, 2) row-major order of a mean.
-    flat = array("d")
+    # (4, 2) row-major order of a mean; rows before the start are NaN.
     valid_idx = np.flatnonzero(rec.valid)
     start = int(valid_idx[0]) if valid_idx.size else n
+    flat = array("d", [math.nan]) * (8 * start)
     if start < n:
         mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]), r_pos)
         flat.extend(mean)
@@ -461,8 +462,7 @@ def opkf_predict_multi(
                     mean, cov = kalman_update(mean, cov, (x, y), r_pos_only)
             flat.extend(mean)
 
-    posterior = np.full((n, 4, 2), np.nan)
-    posterior[start:] = np.frombuffer(flat).reshape(-1, 4, 2)
+    posterior = np.frombuffer(flat).reshape(n, 4, 2)
     # The covariance does not depend on the measurements, so a diverged mean
     # cannot make a later step fail first; the first non-finite row is the
     # sample at which a per-sample check would have stopped.
