@@ -125,7 +125,6 @@ class TestFilterProperties:
             with pytest.raises(InstabilityError, match="sample 120"):
                 predict(rec)
 
-
     @pytest.mark.parametrize("speed", [2.0, 5.0, 10.0])
     def test_fixation_ramp_extrapolates_over_pi(self, speed):
         # constant velocity below the saccade threshold: the fixation regime
