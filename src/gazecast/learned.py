@@ -34,8 +34,9 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmptyInputError,
+    ParseError,
 )
-from .opkf import PredictionRun
+from .opkf import PredictionRun, _check_pi
 from .signal import GazeRecording, VelocityTrace
 
 WINDOW_SAMPLES = 100
@@ -119,8 +120,7 @@ def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBa
     valid gaze position at t and t + PI; anything touching a blink fails the
     validity flags and vanishes here. An empty batch is a legal result.
     """
-    if pi_ms < 1:
-        raise ConfigError(f"pi_ms must be a positive sample count, got {pi_ms}")
+    _check_pi(pi_ms)
     ends = _valid_window_ends(rec, vel, pi_ms, require_target=True)
     if ends.size == 0:
         return WindowBatch(
@@ -550,15 +550,21 @@ def save_weights(model: LstmModel, path) -> None:
 
 
 def load_weights(path) -> LstmModel:
+    """Weights written by ``save_weights``; ParseError if the file is malformed."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "lstm-weights-v1":
-        raise ConfigError(f"unrecognized weights format {doc.get('format')!r}")
-    params = {}
-    for name, entry in doc["params"].items():
-        arr = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-        params[name] = arr
-    return LstmModel(params, input_scale=float(doc.get("input_scale", INPUT_SCALE)))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        if doc.get("format") != "lstm-weights-v1":
+            raise ConfigError(f"unrecognized weights format {doc.get('format')!r}")
+        params = {
+            name: np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+            for name, entry in doc["params"].items()
+        }
+        input_scale = float(doc.get("input_scale", INPUT_SCALE))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed weights file {path}: {exc!r}") from exc
+    return LstmModel(params, input_scale=input_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +573,7 @@ def load_weights(path) -> LstmModel:
 
 def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, pi_ms: int) -> PredictionRun:
     """Reference extrapolators: hold the position, or project the velocity."""
-    if pi_ms < 1:
-        raise ConfigError(f"pi_ms must be a positive sample count, got {pi_ms}")
+    _check_pi(pi_ms)
     n = rec.n_samples
     predicted = np.full((n, 2), np.nan)
     if kind == "constant-position":
@@ -598,8 +603,7 @@ def lstm_predict_recording(
 ) -> PredictionRun:
     """Causal pass: at each sample with a clean trailing window, position +
     predicted displacement."""
-    if pi_ms < 1:
-        raise ConfigError(f"pi_ms must be a positive sample count, got {pi_ms}")
+    _check_pi(pi_ms)
     n = rec.n_samples
     ends = _valid_window_ends(rec, vel, pi_ms, require_target=False)
     ends = ends[rec.valid[ends]]

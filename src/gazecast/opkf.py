@@ -32,7 +32,9 @@ in a flat float array, and everything outside the recursion stays
 vectorized: the regime labels before it, the divergence check and the
 PI-ahead output after it. That output propagates the posterior pi_ms steps
 holding the current regime. Per-subject plant parameters can be fitted by
-Nelder-Mead on a calibration slice of the subject's own saccades.
+Nelder-Mead on a calibration slice of the subject's own saccades, over the
+four plant quantities the filter reads: K/J and B/J of the saccade regime
+and the fixation regime's force time constants tau_ag_deact, tau_ant_act.
 """
 
 from __future__ import annotations
@@ -61,9 +63,11 @@ from .errors import (
     FitError,
     InstabilityError,
     InsufficientDataError,
+    ParseError,
 )
+from .metrics import CEP_WINDOW_MS, score_run
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
-from .signal import DiffConfig, GazeRecording, compute_velocity
+from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
 
 log = logging.getLogger(__name__)
 
@@ -422,21 +426,30 @@ def opkf_predict_multi(
     """
     for pi in pi_list:
         _check_pi(pi)
-    n = rec.n_samples
+    vel, saccade = _regime_inputs(rec, cfg, segs)
+    return _filter_pass(rec, cfg, pi_list, vel, saccade)
+
+
+def _regime_inputs(rec, cfg, segs) -> tuple[VelocityTrace, list[bool]]:
+    """Causal velocity and per-sample saccade regime: the plant-free inputs."""
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
-    sample_ok = rec.valid.tolist()
-    vel_ok = vel.valid.tolist()
     if cfg.regime_source == "segments":
         if segs is None:
             raise ConfigError('regime_source="segments" needs segs')
-        saccade = (np.isin(event_labels(segs, n), (SACCADE, LARGE_SACCADE)) & rec.valid).tolist()
-    else:
-        labeler = CausalLabeler(cfg.classifier)
-        saccade = [
-            labeler.update(v_r, v_ok, s_ok) is EventKind.SACCADE
-            for v_r, v_ok, s_ok in zip(vel.v_radial.tolist(), vel_ok, sample_ok)
-        ]
+        labels = event_labels(segs, rec.n_samples)
+        return vel, (np.isin(labels, (SACCADE, LARGE_SACCADE)) & rec.valid).tolist()
+    labeler = CausalLabeler(cfg.classifier)
+    return vel, [
+        labeler.update(v_r, v_ok, s_ok) is EventKind.SACCADE
+        for v_r, v_ok, s_ok in zip(vel.v_radial.tolist(), vel.valid.tolist(), rec.valid.tolist())
+    ]
 
+
+def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
+    """The filter pass of ``opkf_predict_multi`` on ``_regime_inputs``."""
+    n = rec.n_samples
+    sample_ok = rec.valid.tolist()
+    vel_ok = vel.valid.tolist()
     matrices = _RegimeMatrices(cfg, tuple(pi_list))
     r_pos, r_vel = cfg.measurement_noise()
     r_full = (r_pos, r_vel)
@@ -483,6 +496,10 @@ def opkf_predict_multi(
 # Nelder-Mead
 
 
+class _BudgetSpent(Exception):
+    """Raised in place of an evaluation past the budget."""
+
+
 @dataclass(frozen=True)
 class NMResult:
     x: np.ndarray
@@ -500,20 +517,25 @@ def nelder_mead(
     """Downhill simplex: reflect / expand / contract / shrink.
 
     Stops when the simplex's relative size drops below size_tol or the
-    evaluation budget (default 500 per dimension) runs out; always returns
-    the best vertex seen. Vertices where the objective is non-finite act as
-    infinite barriers; if the whole initial simplex is non-finite, that is an
-    initialization error.
+    evaluation budget (default 500 per dimension) runs out. The budget is a
+    hard cap on objective calls, and must cover the first simplex. Always
+    returns the best vertex seen. Vertices where the objective is non-finite
+    act as infinite barriers; if the whole initial simplex is non-finite,
+    that is an initialization error.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n < 1:
         raise ConfigError("need at least one parameter")
     budget = max_evals if max_evals is not None else 500 * n
+    if budget < n + 1:
+        raise ConfigError(f"max_evals must be >= {n + 1} to score the first simplex, got {budget}")
     evals = 0
 
     def f(x):
         nonlocal evals
+        if evals == budget:
+            raise _BudgetSpent
         evals += 1
         try:
             v = float(objective(x))
@@ -534,39 +556,42 @@ def nelder_mead(
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     converged = False
-    while evals < budget:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
-        best = simplex[0]
-        size = np.max(np.abs(simplex[1:] - best)) / max(1.0, np.max(np.abs(best)))
-        if size < size_tol:
-            converged = True
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < fvals[0]:
-            xe = centroid + gamma * (xr - centroid)
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
+    try:
+        while True:
+            order = np.argsort(fvals, kind="stable")
+            simplex = simplex[order]
+            fvals = fvals[order]
+            best = simplex[0]
+            size = np.max(np.abs(simplex[1:] - best)) / max(1.0, np.max(np.abs(best)))
+            if size < size_tol:
+                converged = True
+                break
+            centroid = simplex[:-1].mean(axis=0)
+            xr = centroid + alpha * (centroid - simplex[-1])
+            fr = f(xr)
+            if fr < fvals[0]:
                 simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:
-                xc = centroid + rho * (xr - centroid)
+                xe = centroid + gamma * (xr - centroid)
+                fe = f(xe)
+                if fe < fr:
+                    simplex[-1], fvals[-1] = xe, fe
+            elif fr < fvals[-2]:
+                simplex[-1], fvals[-1] = xr, fr
             else:
-                xc = centroid + rho * (simplex[-1] - centroid)
-            fc = f(xc)
-            if fc < min(fr, fvals[-1]):
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    fvals[i] = f(simplex[i])
+                if fr < fvals[-1]:
+                    xc = centroid + rho * (xr - centroid)
+                else:
+                    xc = centroid + rho * (simplex[-1] - centroid)
+                fc = f(xc)
+                if fc < min(fr, fvals[-1]):
+                    simplex[-1], fvals[-1] = xc, fc
+                else:
+                    for i in range(1, n + 1):  # a spent budget leaves no stale value
+                        v = simplex[0] + sigma * (simplex[i] - simplex[0])
+                        fvals[i] = f(v)
+                        simplex[i] = v
+    except _BudgetSpent:
+        pass
 
     order = np.argsort(fvals, kind="stable")
     return NMResult(
@@ -580,17 +605,7 @@ def nelder_mead(
 # ---------------------------------------------------------------------------
 # per-subject parameter fitting
 
-FIT_FIELDS = (
-    "Kse",
-    "Klt",
-    "Bag",
-    "Bant",
-    "tau_ag_act",
-    "pulse_height_coeff",
-    "pulse_width_coeff",
-)
 CALIBRATION_FRACTION = 0.4
-CEP_TAIL_MS = 100
 
 
 @dataclass(frozen=True)
@@ -603,8 +618,16 @@ class FitOutcome:
 
 
 def _params_from_log(base: PlantParams, theta: np.ndarray) -> PlantParams:
-    values = dict(zip(FIT_FIELDS, np.exp(theta)))
-    return replace(base, **values)
+    """``base`` moved to log(k_total, b_total, tau_ag_deact, tau_ant_act) = theta.
+
+    Kp, Kse and Klt are scaled by one common factor and Bp, Bag and Bant by
+    another, so each keeps its share of its total; J stays at base.
+    """
+    k_total, b_total, tau_ag_deact, tau_ant_act = np.exp(theta).tolist()
+    scale = dict.fromkeys(("Kp", "Kse", "Klt"), k_total / base.k_total)
+    scale.update(dict.fromkeys(("Bp", "Bag", "Bant"), b_total / base.b_total))
+    scaled = {name: getattr(base, name) * c for name, c in scale.items()}
+    return replace(base, **scaled, tau_ag_deact=tau_ag_deact, tau_ant_act=tau_ant_act)
 
 
 def fit_subject_params(
@@ -614,80 +637,57 @@ def fit_subject_params(
     cfg: OpkfConfig = OpkfConfig(),
     max_evals: int = 200,
 ) -> FitOutcome:
-    """Nelder-Mead over log-scaled plant parameters on a calibration slice.
+    """Nelder-Mead over the four plant quantities the filter reads.
 
-    The calibration slice is the first 40% of detected saccades plus a
-    100 ms tail after each; the objective is the mean PI-ahead error over
-    samples whose target time falls in that slice, filtering from the start
-    of the recording with the filter's own causal velocity and online
-    regime labels. Returns the fitted parameters only when they do not
-    score worse than the base set on calibration.
+    The filter reads the plant only through K/J and B/J (saccade regime)
+    and tau_ag_deact, tau_ant_act (fixation regime); every other field is
+    unread or lies on a ridge. So the search runs over log(k_total,
+    b_total, tau_ag_deact, tau_ant_act) from the base values, with J held
+    at base, since it would only rescale K and B.
+
+    The objective is the mean PI-ahead error, as ``score_run`` scores it,
+    over targets in the first 40% of detected saccades and the CEP window
+    after each, filtering from the start of the recording. The velocity
+    and regime labels are computed once. Returns the fitted parameters
+    only when they score better than the base set on calibration.
     """
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]
     if len(sacc) < 10:
         raise InsufficientDataError(f"need >= 10 saccades to fit, got {len(sacc)}")
     n_cal = max(1, int(CALIBRATION_FRACTION * len(sacc)))
     cal = sacc[:n_cal]
-    n = rec.n_samples
-    cal_end = min(cal[-1].end_idx + CEP_TAIL_MS + cfg.pi_ms + 1, n)
+    cal_end = min(cal[-1].end_idx + CEP_WINDOW_MS + cfg.pi_ms + 1, rec.n_samples)
 
-    target_mask = np.zeros(n, dtype=bool)
+    target_mask = np.zeros(cal_end, dtype=bool)
     for s in cal:
-        target_mask[s.start_idx : min(s.end_idx + CEP_TAIL_MS + 1, n)] = True
-    target_mask &= rec.valid
+        target_mask[s.start_idx : s.end_idx + CEP_WINDOW_MS + 1] = True
 
-    prefix = GazeRecording(
-        subject_id=rec.subject_id,
-        session_id=rec.session_id,
-        t_ms=rec.t_ms[:cal_end],
-        x=rec.x[:cal_end],
-        y=rec.y[:cal_end],
-        valid=rec.valid[:cal_end],
-        targets=rec.targets,
-    )
+    prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("t_ms", "x", "y", "valid")})
+    prefix_segs = [s for s in segs if s.start_idx < cal_end]
+    prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
+    vel, saccade = _regime_inputs(prefix, cfg, None)
 
-    def objective_for(params: PlantParams) -> float:
-        run = opkf_predict_multi(prefix, replace(cfg, params=params), (cfg.pi_ms,))[cfg.pi_ms]
-        pi = cfg.pi_ms
-        idx = np.flatnonzero(run.valid_mask)  # run.valid_mask already needs idx+pi < cal_end
-        idx = idx[target_mask[idx + pi]]
-        if idx.size == 0:
+    def error_of(params: PlantParams) -> float:
+        run = _filter_pass(prefix, replace(cfg, params=params), (cfg.pi_ms,), vel, saccade)
+        scored = score_run(run[cfg.pi_ms], prefix, prefix_segs)
+        err = scored.error_dva[target_mask[scored.sample_idx]]
+        if err.size == 0:
             raise InsufficientDataError("no calibration samples to score")
-        err = np.hypot(
-            run.predicted[idx, 0] - rec.x[idx + pi],
-            run.predicted[idx, 1] - rec.y[idx + pi],
-        )
         return float(np.mean(err))
 
     def objective(theta: np.ndarray) -> float:
         try:
-            params = _params_from_log(base, theta)
-        except ConfigError:
-            return np.inf
-        try:
-            return objective_for(params)
-        except InstabilityError:
-            return np.inf
+            return error_of(_params_from_log(base, theta))
+        except (ConfigError, InstabilityError):
+            return math.inf
 
-    x0 = np.log([getattr(base, name) for name in FIT_FIELDS])
-    base_error = objective_for(base)
+    base_error = error_of(base)
+    x0 = np.log([base.k_total, base.b_total, base.tau_ag_deact, base.tau_ant_act])
     result = nelder_mead(objective, x0, max_evals=max_evals)
-    fitted = _params_from_log(base, result.x)
-    if result.fun <= base_error:
-        return FitOutcome(
-            params=fitted,
-            cal_error=result.fun,
-            base_error=base_error,
-            n_evals=result.n_evals,
-            converged=result.converged,
-        )
-    return FitOutcome(
-        params=base,
-        cal_error=base_error,
-        base_error=base_error,
-        n_evals=result.n_evals,
-        converged=result.converged,
-    )
+    params, cal_error = base, base_error
+    if result.fun < base_error:
+        params, cal_error = _params_from_log(base, result.x), result.fun
+    return FitOutcome(params, cal_error, base_error, result.n_evals, result.converged)
 
 
 def save_fits(fits: dict[str, FitOutcome], path) -> None:
@@ -705,15 +705,20 @@ def save_fits(fits: dict[str, FitOutcome], path) -> None:
 
 
 def load_fits(path) -> dict[str, FitOutcome]:
+    """Fits written by ``save_fits``; ParseError if the file is malformed."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    out = {}
-    for subject_id, row in data.items():
-        out[subject_id] = FitOutcome(
-            params=PlantParams.from_json(json.dumps(row["params"])),
-            cal_error=float(row["cal_error"]),
-            base_error=float(row["base_error"]),
-            n_evals=int(row["n_evals"]),
-            converged=bool(row["converged"]),
-        )
-    return out
+        text = fh.read()
+    try:
+        data = json.loads(text)
+        return {
+            subject_id: FitOutcome(
+                params=PlantParams.from_json(json.dumps(row["params"])),
+                cal_error=float(row["cal_error"]),
+                base_error=float(row["base_error"]),
+                n_evals=int(row["n_evals"]),
+                converged=bool(row["converged"]),
+            )
+            for subject_id, row in data.items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed fits file {path}: {exc!r}") from exc

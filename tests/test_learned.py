@@ -14,6 +14,7 @@ from gazecast.errors import (
     ConfigError,
     DivergenceError,
     EmptyInputError,
+    ParseError,
 )
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
@@ -96,10 +97,20 @@ class TestMakeWindows:
         with pytest.raises(ConfigError, match="slices and index arrays"):
             wb[2]
 
-    def test_bad_pi(self):
+    @pytest.mark.parametrize("pi", [40.5, 0, -5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            L.make_windows,
+            lambda rec, vel, pi: L.baseline_predict("constant-velocity", rec, vel, pi),
+            lambda rec, vel, pi: L.lstm_predict_recording(L.LstmModel.init_seeded(0), rec, vel, pi),
+        ],
+        ids=["make_windows", "baseline_predict", "lstm_predict_recording"],
+    )
+    def test_bad_pi(self, call, pi):
         rec = ramp_recording(1.0, 0.0, 300)
-        with pytest.raises(ConfigError):
-            L.make_windows(rec, compute_velocity(rec, CAUSAL), 0)
+        with pytest.raises(ConfigError, match="pi_ms"):
+            call(rec, compute_velocity(rec, CAUSAL), pi)
 
     def test_centered_trace_rejected(self):
         # a centered derivative looks 3 samples ahead of the window end
@@ -363,6 +374,21 @@ class TestPersistence:
         path = tmp_path / "weights.json"
         path.write_text(json.dumps({"format": "something-else", "params": {}}))
         with pytest.raises(ConfigError):
+            L.load_weights(path)
+
+    def test_missing_params_is_parse_error(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"format": "lstm-weights-v1"}))
+        with pytest.raises(ParseError, match="params"):
+            L.load_weights(path)
+
+    def test_data_not_matching_shape_is_parse_error(self, tmp_path):
+        path = tmp_path / "weights.json"
+        L.save_weights(L.LstmModel.init_seeded(0), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["fc1.b"]["data"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="reshape"):
             L.load_weights(path)
 
 

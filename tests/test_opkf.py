@@ -1,7 +1,9 @@
-"""OPKF filter core, prediction pass, Nelder-Mead, and fit persistence."""
+"""OPKF filter core, prediction pass, Nelder-Mead, the per-subject fit, and fit persistence."""
 
+import json
 import logging
-from dataclasses import replace
+import math
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 from gazecast import opkf as O
 from gazecast.classify import CausalLabeler, EventKind, EventSegment, classify_events
-from gazecast.errors import ConfigError, InstabilityError
-from gazecast.plant import DEFAULT_PARAMS, SynthConfig, generate_cohort
+from gazecast.errors import ConfigError, InstabilityError, ParseError
+from gazecast.metrics import CEP_WINDOW_MS, ScoredRun, class_errors, score_run
+from gazecast.plant import DEFAULT_PARAMS, PlantParams, SynthConfig, generate_cohort
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
 PIS = (20, 40, 60)
@@ -333,6 +336,91 @@ class TestNelderMead:
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
         assert res.n_evals <= 1000
 
+    @pytest.mark.parametrize("budget", [4, 5, 6, 9, 15, 40])
+    def test_budget_caps_objective_calls(self, budget):
+        values = []
+
+        def quadratic(v):
+            values.append(float(np.sum((v - [1.5, -2.0, 0.5]) ** 2)))
+            return values[-1]
+
+        res = O.nelder_mead(quadratic, np.zeros(3), max_evals=budget)
+        assert res.n_evals == len(values) == budget
+        assert not res.converged
+        assert res.fun == min(values)
+
+    def test_budget_must_cover_first_simplex(self):
+        with pytest.raises(ConfigError, match="max_evals"):
+            O.nelder_mead(lambda v: 0.0, np.zeros(3), max_evals=3)
+
+
+# the plant fields the filter never reads
+UNREAD = ("tau_ag_act", "tau_ant_deact", "pulse_height_coeff", "pulse_width_coeff")
+
+
+def filter_matrices(params):
+    """Everything the filter takes from the plant, as one flat array."""
+    m = O._RegimeMatrices(O.OpkfConfig(params=params), PIS)
+    rows = [m.pi_rows[key] for key in sorted(m.pi_rows)]
+    return np.concatenate([m.phi_fix.ravel(), m.phi_sac.ravel(), *rows])
+
+
+def log_filter_quantities(p):
+    """The fit's coordinates of the filter that ``p`` gives, J at base."""
+    j = DEFAULT_PARAMS.J / p.J
+    return np.log([p.k_total * j, p.b_total * j, p.tau_ag_deact, p.tau_ant_act])
+
+
+class TestFitSearchSpace:
+    @given(
+        c=st.floats(0.5, 2.0),
+        kse=st.floats(0.6, 3.0),
+        dbag=st.floats(-100.0, 100.0),
+        factors=st.lists(st.floats(0.5, 2.0), min_size=13, max_size=13),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_filter_reads_only_what_the_fit_moves(self, c, kse, dbag, factors):
+        base = DEFAULT_PARAMS
+        want = filter_matrices(base)
+        # the fit moves every field but J and the unread ones
+        moved = O._params_from_log(base, log_filter_quantities(base) + 0.1)
+        held = {f.name for f in fields(base) if getattr(moved, f.name) == getattr(base, f.name)}
+        assert held == {"J", *UNREAD}
+        for name in UNREAD:
+            scaled = replace(base, **{name: getattr(base, name) * c})
+            np.testing.assert_array_equal(filter_matrices(scaled), want)
+        joint = {n: getattr(base, n) * c for n in ("Kp", "Kse", "Klt", "Bp", "Bag", "Bant", "J")}
+        np.testing.assert_allclose(filter_matrices(replace(base, **joint)), want, rtol=1e-12, atol=0)
+        # Kse and Klt reach the filter only through their series stiffness
+        series = base.Kse * base.Klt / (base.Kse + base.Klt)
+        a = base.Kse * kse
+        ridge = replace(
+            base, Kse=a, Klt=series * a / (a - series), Bag=base.Bag + dbag, Bant=base.Bant - dbag
+        )
+        np.testing.assert_allclose(filter_matrices(ridge), want, rtol=1e-12, atol=0)
+        # so the fit reaches the filter of any plant
+        p = PlantParams(**{f.name: getattr(base, f.name) * k for f, k in zip(fields(base), factors)})
+        reached = O._params_from_log(base, log_filter_quantities(p))
+        np.testing.assert_allclose(filter_matrices(reached), filter_matrices(p), rtol=1e-12, atol=0)
+
+
+def held_out_small_saccade_median(rec, segs, params, pi=40):
+    """Median small-saccade error over the targets after the calibration slice."""
+    sacc = [s for s in segs if s.kind is EventKind.SACCADE]
+    n_cal = max(1, int(O.CALIBRATION_FRACTION * len(sacc)))
+    cal_end = sacc[n_cal - 1].end_idx + CEP_WINDOW_MS + pi + 1
+    run = O.opkf_predict_multi(rec, O.OpkfConfig(pi_ms=pi, params=params), (pi,))[pi]
+    scored = score_run(run, rec, segs)
+    later = scored.sample_idx >= cal_end
+    held_out = ScoredRun(scored.sample_idx[later], scored.error_dva[later])
+    return float(np.median(class_errors(held_out, segs)["small_saccade"]))
+
+
+@pytest.fixture(scope="module")
+def fit15(subject):
+    rec, segs = subject
+    return O.fit_subject_params(rec, segs, max_evals=15)
+
 
 class TestFit:
     def test_fit_never_scores_worse_than_base(self, subject):
@@ -341,6 +429,27 @@ class TestFit:
         assert fit.cal_error <= fit.base_error
         if fit.cal_error == fit.base_error:  # the fit did not beat the base
             assert fit.params == DEFAULT_PARAMS
+
+    def test_base_error_pinned(self, fit15):
+        # the value before the fit scored through score_run on hoisted inputs
+        assert fit15.base_error == 2.0089713451434257
+
+    def test_fitted_params_finite_and_valid(self, fit15):
+        assert fit15.n_evals <= 15
+        values = asdict(fit15.params)
+        assert all(math.isfinite(v) for v in values.values())
+        assert PlantParams(**values) == fit15.params
+
+    def test_fitted_params_survive_persistence(self, fit15, tmp_path):
+        path = tmp_path / "fits.json"
+        O.save_fits({"S": fit15}, path)
+        assert O.load_fits(path) == {"S": fit15}
+
+    def test_held_out_error_below_base(self, subject, fit15):
+        rec, segs = subject
+        fitted = held_out_small_saccade_median(rec, segs, fit15.params)
+        base = held_out_small_saccade_median(rec, segs, DEFAULT_PARAMS)
+        assert fitted < base
 
 
 class TestFitPersistence:
@@ -354,3 +463,18 @@ class TestFitPersistence:
         path = tmp_path / "fits.json"
         O.save_fits(fits, path)
         assert O.load_fits(path) == fits
+
+    def test_missing_key_is_parse_error(self, tmp_path):
+        path = tmp_path / "fits.json"
+        O.save_fits({"S001": O.FitOutcome(DEFAULT_PARAMS, 0.4, 0.4, 200, False)}, path)
+        data = json.loads(path.read_text())
+        del data["S001"]["cal_error"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="cal_error"):
+            O.load_fits(path)
+
+    def test_bad_json_is_parse_error(self, tmp_path):
+        path = tmp_path / "fits.json"
+        path.write_text('{"S001": {"params": ')
+        with pytest.raises(ParseError):
+            O.load_fits(path)
