@@ -6,6 +6,11 @@ stays at or above the onset/offset threshold, and duration limits weed out
 spikes and drifts. Invalid samples become blinks; what remains is fixation
 when long enough, Other when not. Every sample ends up in exactly one
 segment and segments tile the recording in order.
+
+That pass looks ahead, since a seed's extent depends on later samples.
+``causal_saccade_mask`` is the online counterpart the OPKF switches its
+regime on: a hysteresis between the same two thresholds whose flag at
+sample t depends only on samples <= t.
 """
 
 from __future__ import annotations
@@ -90,6 +95,36 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(0, edges.size, 2)]
 
 
+def segments_from_labels(
+    labels: np.ndarray, x: np.ndarray, y: np.ndarray, v: np.ndarray
+) -> list[EventSegment]:
+    """Segments over the runs of equal per-sample label codes.
+
+    Every sample needs a FIXATION, SACCADE, BLINK or OTHER code. A saccade
+    segment carries its amplitude from ``x`` and ``y`` and its peak and
+    mean speed from ``v``.
+    """
+    kind_of = {code: kind for kind, code in _CODE_OF.items()}
+    boundaries = np.flatnonzero(np.diff(labels)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries - 1, [len(labels) - 1]))
+    segments: list[EventSegment] = []
+    for s, e in zip(starts, ends):
+        kind = kind_of[int(labels[s])]
+        props = None
+        if kind is EventKind.SACCADE:
+            seg_v = v[s : e + 1]
+            props = SaccadeProps(
+                amplitude_dva=float(np.hypot(x[e] - x[s], y[e] - y[s])),
+                duration_ms=int(e - s + 1),
+                peak_vel=float(np.max(seg_v)),
+                mean_vel=float(np.mean(seg_v)),
+                sample_count=int(e - s + 1),
+            )
+        segments.append(EventSegment(kind=kind, start_idx=int(s), end_idx=int(e), props=props))
+    return segments
+
+
 def classify_events(
     rec: GazeRecording,
     vel: VelocityTrace,
@@ -117,25 +152,7 @@ def classify_events(
         dur = end - start + 1
         labels[start : end + 1] = FIXATION if dur >= cfg.min_fixation_ms else OTHER
 
-    segments: list[EventSegment] = []
-    kind_of = {code: kind for kind, code in _CODE_OF.items()}
-    boundaries = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [n - 1]))
-    for s, e in zip(starts, ends):
-        kind = kind_of[int(labels[s])]
-        props = None
-        if kind is EventKind.SACCADE:
-            seg_v = v[s : e + 1]
-            props = SaccadeProps(
-                amplitude_dva=float(np.hypot(rec.x[e] - rec.x[s], rec.y[e] - rec.y[s])),
-                duration_ms=int(e - s + 1),
-                peak_vel=float(np.max(seg_v)),
-                mean_vel=float(np.mean(seg_v)),
-                sample_count=int(e - s + 1),
-            )
-        segments.append(EventSegment(kind=kind, start_idx=int(s), end_idx=int(e), props=props))
-    return segments
+    return segments_from_labels(labels, rec.x, rec.y, v)
 
 
 def saccade_class(amplitude_dva: float) -> str:
@@ -176,32 +193,29 @@ def fixation_noise_threshold(
     return quantile(values, 0.9)
 
 
-class CausalLabeler:
-    """Online single-pass event labeler for live prediction.
+def causal_saccade_mask(
+    rec: GazeRecording, vel: VelocityTrace, cfg: ClassifierConfig = ClassifierConfig()
+) -> np.ndarray:
+    """Per-sample saccade flags of an online hysteresis labeler.
 
-    Hysteresis version of the offline classifier: a sample with velocity
-    above the peak threshold flips the state to Saccade, and it stays there
-    until velocity drops below the onset/offset threshold. Samples with no
-    velocity estimate keep the previous state (Blink when the sample itself
-    is invalid). Never looks ahead, so labels at time t depend only on
-    samples <= t.
+    A sample whose velocity is above the peak threshold switches the
+    saccade state on; one whose velocity is below the onset/offset
+    threshold, or an invalid sample, switches it off. Any other sample,
+    including one without a velocity estimate, keeps the state, which
+    starts off. So each flag is whether the latest switch at or before the
+    sample turned the state on: it depends only on samples <= t. The
+    velocity trace must be causal for that to hold.
     """
-
-    def __init__(self, cfg: ClassifierConfig = ClassifierConfig()):
-        self.cfg = cfg
-        self._in_saccade = False
-
-    def update(self, v_radial: float, vel_valid: bool, sample_valid: bool) -> EventKind:
-        if not sample_valid:
-            self._in_saccade = False
-            return EventKind.BLINK
-        if vel_valid:
-            if self._in_saccade:
-                if v_radial < self.cfg.onset_offset_threshold:
-                    self._in_saccade = False
-            elif v_radial > self.cfg.peak_threshold:
-                self._in_saccade = True
-        return EventKind.SACCADE if self._in_saccade else EventKind.FIXATION
+    n = rec.n_samples
+    if len(vel.v_radial) != n:
+        raise AlignmentError(f"velocity trace has {len(vel.v_radial)} entries for {n} samples")
+    if vel.cfg.mode != "causal":
+        raise ConfigError(f"the online labeler needs a causal velocity trace, got mode {vel.cfg.mode!r}")
+    v = vel.v_radial
+    on = rec.valid & vel.valid & (v > cfg.peak_threshold)
+    off = ~rec.valid | (vel.valid & (v < cfg.onset_offset_threshold))
+    latest = np.maximum.accumulate(np.where(on | off, np.arange(n), -1))
+    return (latest >= 0) & on[latest]
 
 
 def segments_to_json(segs: list[EventSegment]) -> str:

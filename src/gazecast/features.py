@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import EventKind, EventSegment, fixation_noise_threshold
-from .errors import ConfigError, InsufficientDataError
+from .errors import InsufficientDataError
 from .metrics import quantile
 from .signal import GazeRecording, VelocityTrace
 
@@ -47,28 +47,9 @@ def pk_vel_dur_ratio_r_md(segs: list[EventSegment]) -> float:
     return quantile([s.props.peak_vel / s.props.sample_count for s in sacc], 0.5)
 
 
-def mn_vel_r_md(
-    segs: list[EventSegment],
-    vel: VelocityTrace | None = None,
-    reading: str = "median_of_means",
-) -> float:
-    """Median across saccades of the per-saccade mean radial velocity.
-
-    ``reading="mean_of_medians"`` computes the alternative aggregation (mean
-    across saccades of per-saccade median velocity) and needs the velocity
-    trace, since segment props carry only mean and peak.
-    """
-    sacc = _saccade_segs(segs)
-    if reading == "median_of_means":
-        return quantile([s.props.mean_vel for s in sacc], 0.5)
-    if reading == "mean_of_medians":
-        if vel is None:
-            raise ConfigError("mean_of_medians needs the velocity trace")
-        meds = [
-            quantile(vel.v_radial[s.start_idx : s.end_idx + 1], 0.5) for s in sacc
-        ]
-        return float(np.mean(meds))
-    raise ConfigError(f"unknown reading {reading!r}")
+def mn_vel_r_md(segs: list[EventSegment]) -> float:
+    """Median across saccades of the per-saccade mean radial velocity."""
+    return quantile([s.props.mean_vel for s in _saccade_segs(segs)], 0.5)
 
 
 def data_quality(

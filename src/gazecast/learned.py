@@ -113,6 +113,15 @@ def _valid_window_ends(rec: GazeRecording, vel: VelocityTrace, pi_ms: int, requi
     return ends
 
 
+def _window_inputs(vel: VelocityTrace, ends: np.ndarray) -> np.ndarray:
+    """The (len(ends), 100, 2) contiguous velocity windows ending at ``ends``."""
+    if ends.size == 0:  # also when the recording is shorter than a window
+        return np.empty((0, WINDOW_SAMPLES, 2))
+    vxy = np.column_stack([vel.vx, vel.vy])
+    view = np.lib.stride_tricks.sliding_window_view(vxy, WINDOW_SAMPLES, axis=0)
+    return np.ascontiguousarray(view[ends - (WINDOW_SAMPLES - 1)].transpose(0, 2, 1))
+
+
 def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBatch:
     """Sliding windows at stride 1 ms; invalid spans and targets are dropped.
 
@@ -122,17 +131,10 @@ def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBa
     """
     _check_pi(pi_ms)
     ends = _valid_window_ends(rec, vel, pi_ms, require_target=True)
-    if ends.size == 0:
-        return WindowBatch(
-            np.empty((0, WINDOW_SAMPLES, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64)
-        )
-    vxy = np.column_stack([vel.vx, vel.vy])
-    view = np.lib.stride_tricks.sliding_window_view(vxy, WINDOW_SAMPLES, axis=0)
-    inputs = np.ascontiguousarray(view[ends - (WINDOW_SAMPLES - 1)].transpose(0, 2, 1))
     targets = np.column_stack(
         [rec.x[ends + pi_ms] - rec.x[ends], rec.y[ends + pi_ms] - rec.y[ends]]
     )
-    return WindowBatch(inputs, targets, ends.astype(np.int64))
+    return WindowBatch(_window_inputs(vel, ends), targets, ends.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +610,11 @@ def lstm_predict_recording(
     ends = _valid_window_ends(rec, vel, pi_ms, require_target=False)
     ends = ends[rec.valid[ends]]
     predicted = np.full((n, 2), np.nan)
-    if ends.size:
-        vxy = np.column_stack([vel.vx, vel.vy])
-        view = np.lib.stride_tricks.sliding_window_view(vxy, WINDOW_SAMPLES, axis=0)
-        for s in range(0, ends.size, chunk):
-            sel = ends[s : s + chunk]
-            xs = np.ascontiguousarray(view[sel - (WINDOW_SAMPLES - 1)].transpose(0, 2, 1))
-            disp, _ = _forward(model, xs, want_cache=False)
-            predicted[sel, 0] = rec.x[sel] + disp[:, 0]
-            predicted[sel, 1] = rec.y[sel] + disp[:, 1]
+    for s in range(0, ends.size, chunk):
+        sel = ends[s : s + chunk]
+        disp, _ = _forward(model, _window_inputs(vel, sel), want_cache=False)
+        predicted[sel, 0] = rec.x[sel] + disp[:, 0]
+        predicted[sel, 1] = rec.y[sel] + disp[:, 1]
     issued = np.zeros(n, dtype=bool)
     issued[ends] = True
     return PredictionRun.from_issued(rec, "lstm", pi_ms, predicted, issued)

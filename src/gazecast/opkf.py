@@ -8,7 +8,8 @@ share the same dynamics, measurement model, and noise, so their covariances
 are identical and the implementation carries the two means through one
 covariance recursion.
 
-Two regimes, switched per sample by a zero-lookahead online labeler:
+Two regimes, switched per sample by ``classify.causal_saccade_mask``, a
+zero-lookahead online labeler:
 
 * fixation: constant-velocity kinematics with the force states relaxing
   toward the holding pair of the current position;
@@ -49,15 +50,7 @@ from itertools import islice
 
 import numpy as np
 
-from .classify import (
-    LARGE_SACCADE,
-    SACCADE,
-    CausalLabeler,
-    ClassifierConfig,
-    EventKind,
-    EventSegment,
-    event_labels,
-)
+from .classify import ClassifierConfig, EventKind, EventSegment, causal_saccade_mask
 from .errors import (
     ConfigError,
     FitError,
@@ -163,13 +156,14 @@ def kalman_update(mean, cov, z, r):
     """Joseph-form update measuring the first ``len(r)`` state rows.
 
     ``z`` is (x, y) for position alone or (x, y, vx, vy) for position and
-    velocity; ``r`` holds the matching diagonal of R, (r_pos,) or (r_pos,
-    r_vel). Because H only selects rows, S is the leading 1x1 or 2x2 block
-    of P plus R, the gain K is the first columns of P times S^-1, and
-    I - KH is the identity with K subtracted from its first columns. Then
-    B = (I - KH) P and P = B (I - KH)^T + K R K^T. If S is not positive
-    definite it is jittered once by (1e-9 + 1e-9 trace S) I, which is
-    logged; if that does not help, InstabilityError.
+    velocity; ``r`` holds the matching diagonal of R, the position variance
+    alone or the position and velocity variances. Because H only selects
+    rows, S is the leading 1x1 or 2x2 block of P plus R, the gain K is the
+    first columns of P times S^-1, and I - KH is the identity with K
+    subtracted from its first columns. Then B = (I - KH) P and
+    P = B (I - KH)^T + K R K^T. If S is not positive definite it is
+    jittered once by (1e-9 + 1e-9 trace S) I, which is logged; if that
+    does not help, InstabilityError.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = mean
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
@@ -273,9 +267,12 @@ def _check_pi(pi_ms) -> None:
 
 @dataclass(frozen=True)
 class OpkfConfig:
-    """Filter settings; R defaults derive from the subject's precision."""
+    """Filter settings; R derives from the subject's precision.
 
-    pi_ms: int = 40
+    The regime comes from ``classify.causal_saccade_mask`` under
+    ``classifier``; the prediction intervals are arguments of the calls.
+    """
+
     params: PlantParams = DEFAULT_PARAMS
     q_fix_pos: float = 1e-4
     q_fix_vel: float = 1e-4
@@ -283,41 +280,27 @@ class OpkfConfig:
     q_sac_pos: float = 1e-6
     q_sac_vel: float = 25.0
     q_sac_force: float = 0.1
-    r_pos: float | None = None
-    r_vel: float | None = None
     precision_dva: float = 0.1
-    regime_source: str = "online"  # "online" (causal) or "segments" (offline labels)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
-        _check_pi(self.pi_ms)
-        if self.regime_source not in ("online", "segments"):
-            raise ConfigError(f"unknown regime_source {self.regime_source!r}")
         # comparisons with NaN are False, so each check is written to pass
         # only for a finite value in range
         for name in ("q_fix_pos", "q_fix_vel", "q_fix_force", "q_sac_pos", "q_sac_vel", "q_sac_force"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("r_pos", "r_vel"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
         if not 0 <= self.precision_dva < math.inf:
             raise ConfigError(f"precision_dva must be >= 0 and finite, got {self.precision_dva}")
 
     def measurement_noise(self) -> tuple[float, float]:
-        """(r_pos, r_vel) variances, derived from precision unless overridden.
+        """Position and velocity measurement variances from the precision.
 
         Per-axis position noise sigma is precision/2 for isotropic noise
         (RMS-S2S of iid two-axis noise is 2 sigma); velocity noise follows by
         the causal differentiator's white-noise gain.
         """
-        sigma = max(self.precision_dva / 2.0, 1e-3)
-        r_pos = self.r_pos if self.r_pos is not None else sigma**2
-        if self.r_vel is not None:
-            return r_pos, self.r_vel
-        gain = DiffConfig(mode="causal").noise_gain()
-        return r_pos, r_pos * gain**2
+        pos_var = max(self.precision_dva / 2.0, 1e-3) ** 2
+        return pos_var, pos_var * DiffConfig(mode="causal").noise_gain() ** 2
 
 
 @dataclass(frozen=True)
@@ -395,11 +378,11 @@ class _RegimeMatrices:
         )
 
 
-def _initial_state(x: float, y: float, r_pos: float) -> tuple[tuple, tuple]:
+def _initial_state(x: float, y: float, pos_var: float) -> tuple[tuple, tuple]:
     """Position and the agonist/antagonist holding pair (g_ag = theta,
     g_ant = -theta) at the first sample, with a wide velocity prior."""
     mean = (x, y, 0.0, 0.0, x, y, -x, -y)
-    cov = (max(r_pos, 1e-6), 0.0, 0.0, 0.0, 500.0**2, 0.0, 0.0, 25.0, 0.0, 25.0)
+    cov = (max(pos_var, 1e-6), 0.0, 0.0, 0.0, 500.0**2, 0.0, 0.0, 25.0, 0.0, 25.0)
     return mean, cov
 
 
@@ -412,37 +395,26 @@ def opkf_predict_multi(
     rec: GazeRecording,
     cfg: OpkfConfig,
     pi_list: tuple[int, ...],
-    segs: list[EventSegment] | None = None,
 ) -> dict[int, PredictionRun]:
     """One causal filter pass, predictions for every PI in pi_list.
 
-    The measurement velocity is always the causal right-edge differentiator,
-    computed here from the recording. With the default
-    regime_source="online" the event regime comes from a zero-lookahead
-    labeler on that causal velocity; "segments" instead consumes the offline
-    labels in ``segs`` (which look ahead, breaking causality — analysis use).
-    The filter starts at the first valid sample and issues a prediction at
-    every valid sample from there on. Each PI must be an integer >= 1.
+    The measurement velocity is the causal right-edge differentiator,
+    computed here from the recording, and the regime at each sample is
+    ``causal_saccade_mask`` on that velocity, so a prediction issued at
+    sample t depends only on samples <= t. The filter starts at the first
+    valid sample and issues a prediction at every valid sample from there
+    on. Each PI must be an integer >= 1.
     """
     for pi in pi_list:
         _check_pi(pi)
-    vel, saccade = _regime_inputs(rec, cfg, segs)
+    vel, saccade = _regime_inputs(rec, cfg)
     return _filter_pass(rec, cfg, pi_list, vel, saccade)
 
 
-def _regime_inputs(rec, cfg, segs) -> tuple[VelocityTrace, list[bool]]:
+def _regime_inputs(rec, cfg) -> tuple[VelocityTrace, np.ndarray]:
     """Causal velocity and per-sample saccade regime: the plant-free inputs."""
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
-    if cfg.regime_source == "segments":
-        if segs is None:
-            raise ConfigError('regime_source="segments" needs segs')
-        labels = event_labels(segs, rec.n_samples)
-        return vel, (np.isin(labels, (SACCADE, LARGE_SACCADE)) & rec.valid).tolist()
-    labeler = CausalLabeler(cfg.classifier)
-    return vel, [
-        labeler.update(v_r, v_ok, s_ok) is EventKind.SACCADE
-        for v_r, v_ok, s_ok in zip(vel.v_radial.tolist(), vel.valid.tolist(), rec.valid.tolist())
-    ]
+    return vel, causal_saccade_mask(rec, vel, cfg.classifier)
 
 
 def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
@@ -451,9 +423,8 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     sample_ok = rec.valid.tolist()
     vel_ok = vel.valid.tolist()
     matrices = _RegimeMatrices(cfg, tuple(pi_list))
-    r_pos, r_vel = cfg.measurement_noise()
-    r_full = (r_pos, r_vel)
-    r_pos_only = (r_pos,)
+    noise_full = cfg.measurement_noise()
+    noise_pos = noise_full[:1]
 
     # Posterior rows go into a flat float array, 8 per sample, in the
     # (4, 2) row-major order of a mean; rows before the start are NaN.
@@ -461,18 +432,18 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     start = int(valid_idx[0]) if valid_idx.size else n
     flat = array("d", [math.nan]) * (8 * start)
     if start < n:
-        mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]), r_pos)
+        mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]), noise_full[0])
         flat.extend(mean)
         columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
-        samples = zip(saccade, sample_ok, vel_ok, *columns)
+        samples = zip(saccade.tolist(), sample_ok, vel_ok, *columns)
         step = matrices.step
         for sac, s_ok, v_ok, x, y, vx, vy in islice(samples, start + 1, None):
             mean, cov = kalman_predict(mean, cov, *step[sac])
             if s_ok:
                 if v_ok:
-                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), r_full)
+                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), noise_full)
                 else:
-                    mean, cov = kalman_update(mean, cov, (x, y), r_pos_only)
+                    mean, cov = kalman_update(mean, cov, (x, y), noise_pos)
             flat.extend(mean)
 
     posterior = np.frombuffer(flat).reshape(n, 4, 2)
@@ -483,7 +454,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     if not finite.all():
         raise InstabilityError(f"filter diverged at sample {start + int(np.argmin(finite))}")
 
-    in_saccade = np.array(saccade, dtype=bool)[:, None]
+    in_saccade = saccade[:, None]
     runs = {}
     for pi in pi_list:
         rows = np.where(in_saccade, matrices.pi_rows[(True, pi)], matrices.pi_rows[(False, pi)])
@@ -636,6 +607,7 @@ def fit_subject_params(
     base: PlantParams = DEFAULT_PARAMS,
     cfg: OpkfConfig = OpkfConfig(),
     max_evals: int = 200,
+    pi_ms: int = 40,
 ) -> FitOutcome:
     """Nelder-Mead over the four plant quantities the filter reads.
 
@@ -645,18 +617,21 @@ def fit_subject_params(
     b_total, tau_ag_deact, tau_ant_act) from the base values, with J held
     at base, since it would only rescale K and B.
 
-    The objective is the mean PI-ahead error, as ``score_run`` scores it,
-    over targets in the first 40% of detected saccades and the CEP window
-    after each, filtering from the start of the recording. The velocity
-    and regime labels are computed once. Returns the fitted parameters
-    only when they score better than the base set on calibration.
+    The objective is the mean ``pi_ms``-ahead error, as ``score_run``
+    scores it, over targets in the first 40% of detected saccades and the
+    CEP window after each, filtering from the start of the recording. The
+    velocity and regime labels are computed once, and so is the base set's
+    error, which the first simplex vertex reuses. Returns the fitted
+    parameters only when they score better than the base set on
+    calibration.
     """
+    _check_pi(pi_ms)
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]
     if len(sacc) < 10:
         raise InsufficientDataError(f"need >= 10 saccades to fit, got {len(sacc)}")
     n_cal = max(1, int(CALIBRATION_FRACTION * len(sacc)))
     cal = sacc[:n_cal]
-    cal_end = min(cal[-1].end_idx + CEP_WINDOW_MS + cfg.pi_ms + 1, rec.n_samples)
+    cal_end = min(cal[-1].end_idx + CEP_WINDOW_MS + pi_ms + 1, rec.n_samples)
 
     target_mask = np.zeros(cal_end, dtype=bool)
     for s in cal:
@@ -665,24 +640,29 @@ def fit_subject_params(
     prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("t_ms", "x", "y", "valid")})
     prefix_segs = [s for s in segs if s.start_idx < cal_end]
     prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
-    vel, saccade = _regime_inputs(prefix, cfg, None)
+    vel, saccade = _regime_inputs(prefix, cfg)
 
     def error_of(params: PlantParams) -> float:
-        run = _filter_pass(prefix, replace(cfg, params=params), (cfg.pi_ms,), vel, saccade)
-        scored = score_run(run[cfg.pi_ms], prefix, prefix_segs)
+        run = _filter_pass(prefix, replace(cfg, params=params), (pi_ms,), vel, saccade)
+        scored = score_run(run[pi_ms], prefix, prefix_segs)
         err = scored.error_dva[target_mask[scored.sample_idx]]
         if err.size == 0:
             raise InsufficientDataError("no calibration samples to score")
         return float(np.mean(err))
 
+    base_error = error_of(base)
+    x0 = np.log([base.k_total, base.b_total, base.tau_ag_deact, base.tau_ant_act])
+
     def objective(theta: np.ndarray) -> float:
+        # _params_from_log(base, x0) is base only up to rounding, and could
+        # score a hair below base_error without any real improvement
+        if np.array_equal(theta, x0):
+            return base_error
         try:
             return error_of(_params_from_log(base, theta))
         except (ConfigError, InstabilityError):
             return math.inf
 
-    base_error = error_of(base)
-    x0 = np.log([base.k_total, base.b_total, base.tau_ag_deact, base.tau_ant_act])
     result = nelder_mead(objective, x0, max_evals=max_evals)
     params, cal_error = base, base_error
     if result.fun < base_error:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .classify import EventKind, EventSegment, SaccadeProps
+from .classify import FIXATION, SACCADE, EventSegment, segments_from_labels
 from .errors import ConfigError, FitError, InstabilityError
 from .signal import GazeRecording, recording_from_arrays
 
@@ -448,7 +448,7 @@ def _simulate_subject(
         sacc_windows.append((onset, end - 1))
 
     # ground truth from the noiseless velocity: the fast run around each peak
-    labels = np.zeros(n, dtype=np.int8)
+    labels = np.full(n, FIXATION, dtype=np.int8)
     v_true = np.hypot(wx, wy)
     for onset, end in sacc_windows:
         seg_v = v_true[onset : end + 1]
@@ -462,25 +462,9 @@ def _simulate_subject(
         hi = peak
         while hi + 1 < len(fast) and fast[hi + 1]:
             hi += 1
-        labels[onset + lo : onset + hi + 1] = 1
+        labels[onset + lo : onset + hi + 1] = SACCADE
 
-    truth: list[EventSegment] = []
-    boundaries = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [n - 1]))
-    for s, e in zip(starts, ends):
-        if labels[s] == 1:
-            amp = float(np.hypot(x[e] - x[s], y[e] - y[s]))
-            props = SaccadeProps(
-                amplitude_dva=amp,
-                duration_ms=int(e - s + 1),
-                peak_vel=float(np.max(v_true[s : e + 1])),
-                mean_vel=float(np.mean(v_true[s : e + 1])),
-                sample_count=int(e - s + 1),
-            )
-            truth.append(EventSegment(EventKind.SACCADE, int(s), int(e), props))
-        else:
-            truth.append(EventSegment(EventKind.FIXATION, int(s), int(e)))
+    truth = segments_from_labels(labels, x, y, v_true)
 
     white = cfg.white_fraction * sigma
     gx = x + calib_offset[0] + drift_noise(rng, n, sigma, cfg.drift_corner_hz)

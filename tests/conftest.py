@@ -3,6 +3,7 @@
 import numpy as np
 
 from gazecast import learned as L
+from gazecast.classify import ClassifierConfig
 
 
 def kink_free_lstm_fixture(seed: int = 11, margin: float = 1.5e-3):
@@ -36,3 +37,26 @@ def kink_free_lstm_fixture(seed: int = 11, margin: float = 1.5e-3):
     diff = pred - ys
     assert np.hypot(diff[:, 0], diff[:, 1]).min() > 1e-2
     return model, xs, ys
+
+
+def hysteresis_loop(v, vel_ok, sample_ok, cfg: ClassifierConfig = ClassifierConfig()):
+    """Saccade flags of the online labeler, one sample at a time.
+
+    The reference for ``classify.causal_saccade_mask``: an invalid sample
+    ends a saccade and is not one; a velocity above the peak threshold
+    starts one, and it lasts until a velocity below the onset/offset
+    threshold. A sample without a velocity estimate keeps the state.
+    """
+    in_saccade = False
+    out = []
+    for v_r, v_valid, s_valid in zip(v, vel_ok, sample_ok):
+        if not s_valid:
+            in_saccade = False
+        elif v_valid:
+            if in_saccade:
+                if v_r < cfg.onset_offset_threshold:
+                    in_saccade = False
+            elif v_r > cfg.peak_threshold:
+                in_saccade = True
+        out.append(in_saccade)
+    return np.array(out, dtype=bool)

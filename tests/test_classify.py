@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import hysteresis_loop
 from gazecast.classify import (
-    CausalLabeler,
     ClassifierConfig,
     EventKind,
+    causal_saccade_mask,
     classify_events,
     fixation_noise_threshold,
     saccade_class,
     segments_from_json,
     segments_to_json,
 )
-from gazecast.errors import ConfigError, InsufficientDataError
-from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
+from gazecast.errors import AlignmentError, ConfigError, InsufficientDataError
+from gazecast.signal import DiffConfig, VelocityTrace, compute_velocity, recording_from_arrays
 
 
 def make_step_recording(n=700, step_at=300, amplitude=8.0, step_ms=40):
@@ -219,22 +221,55 @@ class TestJsonRoundTrip:
         assert back == segs
 
 
-class TestCausalLabeler:
+def causal_mask(v, vel_ok=None, sample_ok=None):
+    """``causal_saccade_mask`` on a bare radial-velocity array."""
+    n = len(v)
+    v = np.asarray(v, dtype=float)
+    vel_ok = np.ones(n, dtype=bool) if vel_ok is None else np.asarray(vel_ok)
+    sample_ok = np.ones(n, dtype=bool) if sample_ok is None else np.asarray(sample_ok)
+    rec = recording_from_arrays("m", np.zeros(n), np.zeros(n), valid=sample_ok)
+    vel = VelocityTrace(vx=v, vy=np.zeros(n), v_radial=v, valid=vel_ok, cfg=DiffConfig(mode="causal"))
+    return causal_saccade_mask(rec, vel)
+
+
+# the two thresholds themselves, either side of each, and NaN
+SPEEDS = st.sampled_from(
+    [0.0, 10.0, 19.999, 20.0, 20.001, 50.0, 99.999, 100.0, 100.001, 150.0, np.nan]
+)
+
+
+class TestCausalSaccadeMask:
     def test_hysteresis(self):
-        lab = CausalLabeler()
-        assert lab.update(5.0, True, True) is EventKind.FIXATION
-        assert lab.update(150.0, True, True) is EventKind.SACCADE
-        assert lab.update(50.0, True, True) is EventKind.SACCADE  # above offset, stays
-        assert lab.update(10.0, True, True) is EventKind.FIXATION
-        assert lab.update(np.nan, False, False) is EventKind.BLINK
-        assert lab.update(150.0, True, True) is EventKind.SACCADE
+        v = [5.0, 150.0, 50.0, 10.0, np.nan, 150.0]
+        sample_ok = [True, True, True, True, False, True]
+        got = causal_mask(v, vel_ok=sample_ok, sample_ok=sample_ok)
+        # above the offset threshold a saccade stays; a blink is not one
+        assert got.tolist() == [False, True, True, False, False, True]
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(2)
         v = np.abs(rng.normal(scale=80, size=200))
-        lab_a, lab_b = CausalLabeler(), CausalLabeler()
-        out_a = [lab_a.update(float(vi), True, True) for vi in v[:120]]
         v2 = v.copy()
         v2[120:] = 500.0
-        out_b = [lab_b.update(float(vi), True, True) for vi in v2[:120]]
-        assert out_a == out_b
+        np.testing.assert_array_equal(causal_mask(v)[:120], causal_mask(v2)[:120])
+
+    @given(data=st.data(), n=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_sample_loop(self, data, n):
+        v = data.draw(hnp.arrays(float, n, elements=SPEEDS))
+        vel_ok = data.draw(hnp.arrays(bool, n))
+        sample_ok = data.draw(hnp.arrays(bool, n))
+        want = hysteresis_loop(v, vel_ok, sample_ok)
+        np.testing.assert_array_equal(causal_mask(v, vel_ok, sample_ok), want)
+
+    def test_centered_trace_rejected(self):
+        rec = recording_from_arrays("c", np.zeros(50), np.zeros(50))
+        with pytest.raises(ConfigError, match="causal"):
+            causal_saccade_mask(rec, compute_velocity(rec))
+
+    def test_length_mismatch_rejected(self):
+        rec = recording_from_arrays("c", np.zeros(50), np.zeros(50))
+        short = recording_from_arrays("d", np.zeros(40), np.zeros(40))
+        vel = compute_velocity(short, DiffConfig(mode="causal"))
+        with pytest.raises(AlignmentError):
+            causal_saccade_mask(rec, vel)

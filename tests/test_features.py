@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gazecast.classify import EventKind, EventSegment, SaccadeProps, classify_events
-from gazecast.errors import ConfigError, InsufficientDataError
+from gazecast.errors import InsufficientDataError
 from gazecast.features import (
     data_quality,
     mn_vel_r_md,
@@ -52,27 +52,6 @@ class TestSaccadeFeatures:
         segs = sacc_list([1] * 9) + [sacc_seg(2000, peak=500.0, mean=300.0, count=10)]
         vals = sorted([s.props.mean_vel for s in segs])
         assert mn_vel_r_md(segs) == pytest.approx((vals[4] + vals[5]) / 2)
-
-    def test_mn_vel_alternative_reading_needs_velocity(self):
-        segs = sacc_list([1] * 10)
-        with pytest.raises(ConfigError):
-            mn_vel_r_md(segs, reading="mean_of_medians")
-
-    def test_mn_vel_alternative_reading(self):
-        n = 1200
-        rec = recording_from_arrays("s", np.zeros(n), np.zeros(n))
-        vel = compute_velocity(rec)
-        v = vel.v_radial.copy()
-        segs = []
-        for k in range(10):
-            start = 50 + k * 100
-            v[start : start + 21] = 100.0 + k
-            segs.append(sacc_seg(start, peak=100.0 + k, mean=100.0 + k, count=21))
-        from gazecast.signal import VelocityTrace
-
-        vel2 = VelocityTrace(vx=v, vy=np.zeros(n), v_radial=v, valid=np.ones(n, dtype=bool))
-        got = mn_vel_r_md(segs, vel2, reading="mean_of_medians")
-        assert got == pytest.approx(np.mean([100.0 + k for k in range(10)]))
 
     def test_insufficient_saccades(self):
         with pytest.raises(InsufficientDataError):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hysteresis_loop
 from gazecast import opkf as O
-from gazecast.classify import CausalLabeler, EventKind, EventSegment, classify_events
+from gazecast.classify import EventKind, classify_events
 from gazecast.errors import ConfigError, InstabilityError, ParseError
 from gazecast.metrics import CEP_WINDOW_MS, ScoredRun, class_errors, score_run
 from gazecast.plant import DEFAULT_PARAMS, PlantParams, SynthConfig, generate_cohort
@@ -22,11 +23,12 @@ PIS = (20, 40, 60)
 
 # One 1.8 s synthetic subject (generate_cohort(SynthConfig(n_subjects=3,
 # duration_s=3.0, rng_seed=5))[1], samples 800-2600) with blinks injected at
-# [0, 15), [440, 470) and [1000, 1060), two saccades, and the offline
-# saccade segments of classify_events. The predictions and masks are the
-# output of the dense-matrix filter at commit aa8280d, before the
-# row-selecting rewrite; inputs are stored so the gate does not depend on
-# the plant simulator.
+# [0, 15), [440, 470) and [1000, 1060), and two saccades. The "online_*"
+# predictions and masks are the output of the dense-matrix filter at commit
+# aa8280d, before the row-selecting rewrite; inputs are stored so the gate
+# does not depend on the plant simulator. The file also holds the offline
+# saccade segments and the output of a filter regime-switched on them, a
+# mode that looked ahead and is gone.
 REFERENCE = Path(__file__).parent / "data" / "opkf_reference.npz"
 
 
@@ -34,15 +36,13 @@ REFERENCE = Path(__file__).parent / "data" / "opkf_reference.npz"
 def reference():
     with np.load(REFERENCE) as data:
         ref = dict(data)
-    rec = recording_from_arrays("ref", ref["x"], ref["y"], valid=ref["valid"])
-    segs = [EventSegment(EventKind.SACCADE, int(a), int(b)) for a, b in ref["saccades"]]
-    return ref, rec, segs
+    return ref, recording_from_arrays("ref", ref["x"], ref["y"], valid=ref["valid"])
 
 
 @pytest.fixture(scope="module")
 def short_rec(reference):
     """The first 600 reference samples: a leading blink, a saccade, a blink."""
-    _, rec, _ = reference
+    _, rec = reference
     return recording_from_arrays("short", rec.x[:600], rec.y[:600], valid=rec.valid[:600])
 
 
@@ -58,14 +58,13 @@ def predict(rec, **kw):
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("source", ["online", "segments"])
-    def test_matches_pre_rewrite_filter(self, reference, source):
-        ref, rec, segs = reference
-        runs = O.opkf_predict_multi(rec, O.OpkfConfig(regime_source=source), PIS, segs=segs)
+    def test_matches_pre_rewrite_filter(self, reference):
+        ref, rec = reference
+        runs = predict(rec)
         for pi in PIS:
-            np.testing.assert_array_equal(runs[pi].valid_mask, ref[f"{source}_mask_{pi}"])
+            np.testing.assert_array_equal(runs[pi].valid_mask, ref[f"online_mask_{pi}"])
             np.testing.assert_allclose(
-                runs[pi].predicted, ref[f"{source}_pred_{pi}"], rtol=0, atol=1e-12, equal_nan=True
+                runs[pi].predicted, ref[f"online_pred_{pi}"], rtol=0, atol=1e-12, equal_nan=True
             )
 
 
@@ -116,10 +115,6 @@ class TestFilterProperties:
         assert np.isnan(run.predicted[:first]).all()
         assert np.isfinite(run.predicted[first:]).all()
 
-    def test_segments_source_needs_segments(self, short_rec):
-        with pytest.raises(ConfigError, match="segs"):
-            O.opkf_predict_multi(short_rec, O.OpkfConfig(regime_source="segments"), PIS)
-
     def test_divergence_names_first_bad_sample(self):
         x = np.zeros(200)
         x[120] = 1e308  # finite and valid, so the filter takes it as a measurement
@@ -166,22 +161,19 @@ def dense_filter(rec, cfg, pis):
     """Predictions of a dense-matrix filter with the same regimes, noise and
     start state as ``opkf_predict_multi``."""
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
-    labeler = CausalLabeler(cfg.classifier)
-    sac = np.array(
-        [labeler.update(*a) is EventKind.SACCADE for a in zip(vel.v_radial, vel.valid, rec.valid)]
-    )
+    sac = hysteresis_loop(vel.v_radial, vel.valid, rec.valid, cfg.classifier)
     mats = O._RegimeMatrices(cfg, pis)
     phis = {False: mats.phi_fix, True: mats.phi_sac}
     qs = {
         False: np.diag([cfg.q_fix_pos, cfg.q_fix_vel, cfg.q_fix_force, cfg.q_fix_force]),
         True: np.diag([cfg.q_sac_pos, cfg.q_sac_vel, cfg.q_sac_force, cfg.q_sac_force]),
     }
-    r_pos, r_vel = cfg.measurement_noise()
+    pos_var, vel_var = cfg.measurement_noise()
     z = np.stack([np.column_stack([rec.x, rec.y]), np.column_stack([vel.vx, vel.vy])], axis=1)
     post = np.full((rec.n_samples, 4, 2), np.nan)
     start = int(np.flatnonzero(rec.valid)[0])
     mean = np.array([z[start, 0], [0.0, 0.0], z[start, 0], -z[start, 0]])
-    cov = np.diag([max(r_pos, 1e-6), 500.0**2, 25.0, 25.0])
+    cov = np.diag([max(pos_var, 1e-6), 500.0**2, 25.0, 25.0])
     post[start] = mean
     for i in range(start + 1, rec.n_samples):
         phi, q = phis[sac[i]], qs[sac[i]]
@@ -190,9 +182,9 @@ def dense_filter(rec, cfg, pis):
         cov = 0.5 * (cov + cov.T)
         if rec.valid[i]:
             if vel.valid[i]:
-                mean, cov = dense_update(mean, cov, z[i], np.diag([r_pos, r_vel]))
+                mean, cov = dense_update(mean, cov, z[i], np.diag([pos_var, vel_var]))
             else:
-                mean, cov = dense_update(mean, cov, z[i, :1], np.array([[r_pos]]))
+                mean, cov = dense_update(mean, cov, z[i, :1], np.array([[pos_var]]))
         post[i] = mean
     out = {}
     for pi in pis:
@@ -294,7 +286,7 @@ class TestKalmanUpdate:
             update(np.zeros((4, 2)), cov, np.ones((2, 2)), np.zeros((2, 2)))
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 class TestConfig:
@@ -304,14 +296,14 @@ class TestConfig:
             {"q_fix_pos": NAN},
             {"q_sac_vel": NAN},
             {"q_fix_force": 0.0},
-            {"r_pos": -1e-4},
-            {"r_pos": NAN},
-            {"r_vel": -1.0},
-            {"r_vel": NAN},
+            {"q_fix_vel": INF},
+            {"q_sac_pos": -1e-6},
+            {"q_sac_force": INF},
+            {"q_fix_pos": 0.0},
             {"precision_dva": -1.0},
             {"precision_dva": NAN},
-            {"pi_ms": 0},
-            {"pi_ms": 40.5},
+            {"precision_dva": INF},
+            {"q_sac_vel": -25.0},
         ],
     )
     def test_bad_values_rejected_when_built(self, kw):
@@ -409,7 +401,7 @@ def held_out_small_saccade_median(rec, segs, params, pi=40):
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]
     n_cal = max(1, int(O.CALIBRATION_FRACTION * len(sacc)))
     cal_end = sacc[n_cal - 1].end_idx + CEP_WINDOW_MS + pi + 1
-    run = O.opkf_predict_multi(rec, O.OpkfConfig(pi_ms=pi, params=params), (pi,))[pi]
+    run = O.opkf_predict_multi(rec, O.OpkfConfig(params=params), (pi,))[pi]
     scored = score_run(run, rec, segs)
     later = scored.sample_idx >= cal_end
     held_out = ScoredRun(scored.sample_idx[later], scored.error_dva[later])
@@ -429,6 +421,25 @@ class TestFit:
         assert fit.cal_error <= fit.base_error
         if fit.cal_error == fit.base_error:  # the fit did not beat the base
             assert fit.params == DEFAULT_PARAMS
+
+    def test_base_parameters_scored_once(self, subject, monkeypatch):
+        rec, segs = subject
+        filter_pass, passes = O._filter_pass, []
+
+        def counted(*args):
+            passes.append(args)
+            return filter_pass(*args)
+
+        monkeypatch.setattr(O, "_filter_pass", counted)
+        fit = O.fit_subject_params(rec, segs, max_evals=15)
+        # one pass for base_error, one per evaluation after the first vertex
+        assert len(passes) <= fit.n_evals
+
+    @pytest.mark.parametrize("pi_ms", [0, 40.5])
+    def test_bad_pi_rejected(self, subject, pi_ms):
+        rec, segs = subject
+        with pytest.raises(ConfigError, match="pi_ms"):
+            O.fit_subject_params(rec, segs, max_evals=15, pi_ms=pi_ms)
 
     def test_base_error_pinned(self, fit15):
         # the value before the fit scored through score_run on hoisted inputs
