@@ -15,8 +15,7 @@ sample t depends only on samples <= t.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -217,31 +216,3 @@ def causal_saccade_mask(
     latest = np.maximum.accumulate(np.where(on | off, np.arange(n), -1))
     return (latest >= 0) & on[latest]
 
-
-def segments_to_json(segs: list[EventSegment]) -> str:
-    rows = []
-    for seg in segs:
-        rows.append(
-            {
-                "kind": seg.kind.value,
-                "start_idx": seg.start_idx,
-                "end_idx": seg.end_idx,
-                "props": asdict(seg.props) if seg.props is not None else None,
-            }
-        )
-    return json.dumps(rows, indent=2)
-
-
-def segments_from_json(text: str) -> list[EventSegment]:
-    segs = []
-    for row in json.loads(text):
-        props = SaccadeProps(**row["props"]) if row.get("props") else None
-        segs.append(
-            EventSegment(
-                kind=EventKind(row["kind"]),
-                start_idx=int(row["start_idx"]),
-                end_idx=int(row["end_idx"]),
-                props=props,
-            )
-        )
-    return segs

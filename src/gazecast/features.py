@@ -8,7 +8,6 @@ from a classified recording and are deterministic given (rec, segs).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,16 +75,16 @@ def data_quality(
         if x.size >= 2:
             sq_disp.append(np.diff(x) ** 2 + np.diff(y) ** 2)
         if have_targets and x.size > 0:
+            # the target step in effect when the fixation starts
             t_start = int(rec.t_ms[seg.start_idx])
-            tgt = rec.target_at(t_start)
-            if tgt is None:
-                continue
             tgt_idx = int(np.searchsorted(rec.targets[:, 0], t_start, side="right")) - 1
-            tgt_onset = float(rec.targets[tgt_idx, 0])
+            if tgt_idx < 0:  # before the first target step
+                continue
+            tgt_onset, tgt_x, tgt_y = rec.targets[tgt_idx].tolist()
             if t_start - tgt_onset < TARGET_LOCK_DELAY_MS:
                 continue
             cx, cy = float(np.mean(x)), float(np.mean(y))
-            dist = float(np.hypot(cx - tgt[0], cy - tgt[1]))
+            dist = float(np.hypot(cx - tgt_x, cy - tgt_y))
             if dist <= TARGET_LOCK_RADIUS_DVA:
                 offsets.append(dist)
 
@@ -130,36 +129,3 @@ FEATURE_COLUMNS = [
     "precision_dva",
 ]
 
-
-def write_features_csv(rows: list[SubjectFeatures], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.subject_id,
-                    repr(r.fix_noise_thr),
-                    repr(r.pk_vel_dur_ratio_r_md),
-                    repr(r.mn_vel_r_md),
-                    "" if r.accuracy_dva is None else repr(r.accuracy_dva),
-                    repr(r.precision_dva),
-                ]
-            )
-
-
-def read_features_csv(path) -> list[SubjectFeatures]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                SubjectFeatures(
-                    subject_id=row["subject_id"],
-                    fix_noise_thr=float(row["fix_noise_thr"]),
-                    pk_vel_dur_ratio_r_md=float(row["pk_vel_dur_ratio_r_md"]),
-                    mn_vel_r_md=float(row["mn_vel_r_md"]),
-                    accuracy_dva=float(row["accuracy_dva"]) if row["accuracy_dva"] else None,
-                    precision_dva=float(row["precision_dva"]),
-                )
-            )
-    return out

@@ -22,20 +22,13 @@ layer's weight gradient is one matmul over all T·B columns after the loop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DivergenceError,
-    EmptyInputError,
-    ParseError,
-)
+from .errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError
 from .opkf import PredictionRun, _check_pi
 from .signal import GazeRecording, VelocityTrace
 
@@ -149,7 +142,7 @@ class LstmModel:
     displacement output and is counted in N_PARAMS.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], input_scale: float = INPUT_SCALE):
+    def __init__(self, params: dict[str, np.ndarray]):
         for name, shape in PARAM_SHAPES.items():
             if name not in params:
                 raise ConfigError(f"missing parameter tensor {name}")
@@ -158,7 +151,7 @@ class LstmModel:
                     f"parameter {name} has shape {params[name].shape}, expected {shape}"
                 )
         self.params = {name: np.asarray(params[name], dtype=float) for name in PARAM_SHAPES}
-        self.input_scale = float(input_scale)
+        self.input_scale = INPUT_SCALE
 
     @classmethod
     def init_seeded(cls, rng_seed: int) -> "LstmModel":
@@ -417,14 +410,16 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # training
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 256
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 10
     patience: int = 3
     rng_seed: int = 0
@@ -486,13 +481,13 @@ def lstm_train(model: LstmModel, windows, cfg: TrainConfig = TrainConfig(), val_
                 raise DivergenceError(epoch, start // cfg.batch_size)
             total += loss * len(sel)
             adam_t += 1
-            bc1 = 1.0 - cfg.beta1**adam_t
-            bc2 = 1.0 - cfg.beta2**adam_t
+            bc1 = 1.0 - ADAM_BETA1**adam_t
+            bc2 = 1.0 - ADAM_BETA2**adam_t
             for name, p in model.params.items():
                 g = grads[name]
-                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
-                p -= cfg.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+                m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+                p -= cfg.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
         train_loss = total / n
 
         val_loss = float("nan")
@@ -531,42 +526,6 @@ def split_subjects(subject_ids, holdout_fraction: float = 0.1, rng_seed: int = 0
     held = {unique[i] for i in order[:n_hold]}
     train = tuple(s for s in unique if s not in held)
     return train, tuple(sorted(held))
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_weights(model: LstmModel, path) -> None:
-    doc = {
-        "format": "lstm-weights-v1",
-        "hidden": HIDDEN,
-        "input_scale": model.input_scale,
-        "params": {
-            name: {"shape": list(p.shape), "data": p.reshape(-1).tolist()}
-            for name, p in model.params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_weights(path) -> LstmModel:
-    """Weights written by ``save_weights``; ParseError if the file is malformed."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-        if doc.get("format") != "lstm-weights-v1":
-            raise ConfigError(f"unrecognized weights format {doc.get('format')!r}")
-        params = {
-            name: np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-        input_scale = float(doc.get("input_scale", INPUT_SCALE))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed weights file {path}: {exc!r}") from exc
-    return LstmModel(params, input_scale=input_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -40,24 +40,17 @@ and the fixation regime's force time constants tau_ag_deact, tau_ant_act.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
-from .classify import ClassifierConfig, EventKind, EventSegment, causal_saccade_mask
-from .errors import (
-    ConfigError,
-    FitError,
-    InstabilityError,
-    InsufficientDataError,
-    ParseError,
-)
+from .classify import EventKind, EventSegment, causal_saccade_mask
+from .errors import ConfigError, FitError, InstabilityError, InsufficientDataError
 from .metrics import CEP_WINDOW_MS, score_run
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
 from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
@@ -259,6 +252,18 @@ def kalman_update(mean, cov, z, r):
 # ---------------------------------------------------------------------------
 # configuration and state
 
+# diagonal of the process noise Q over [theta, omega, g_ag, g_ant], per regime
+Q_FIXATION = (1e-4, 1e-4, 1e-3, 1e-3)
+Q_SACCADE = (1e-6, 25.0, 0.1, 0.1)
+
+# Measurement variances of position and velocity at a 0.1 dva precision.
+# Per-axis position noise sigma is precision/2 for isotropic noise (RMS-S2S
+# of iid two-axis noise is 2 sigma); velocity noise follows by the causal
+# differentiator's white-noise gain.
+PRECISION_DVA = 0.1
+_POS_VAR = (PRECISION_DVA / 2.0) ** 2
+MEASUREMENT_NOISE = (_POS_VAR, _POS_VAR * DiffConfig(mode="causal").noise_gain() ** 2)
+
 
 def _check_pi(pi_ms) -> None:
     if not isinstance(pi_ms, numbers.Integral) or pi_ms < 1:
@@ -267,40 +272,15 @@ def _check_pi(pi_ms) -> None:
 
 @dataclass(frozen=True)
 class OpkfConfig:
-    """Filter settings; R derives from the subject's precision.
+    """The filter's plant parameters, its one per-subject setting.
 
-    The regime comes from ``classify.causal_saccade_mask`` under
-    ``classifier``; the prediction intervals are arguments of the calls.
+    The noise is ``Q_FIXATION``, ``Q_SACCADE`` and ``MEASUREMENT_NOISE``,
+    the regime is ``classify.causal_saccade_mask`` at the classifier's
+    default thresholds, and the prediction intervals are arguments of the
+    calls.
     """
 
     params: PlantParams = DEFAULT_PARAMS
-    q_fix_pos: float = 1e-4
-    q_fix_vel: float = 1e-4
-    q_fix_force: float = 1e-3
-    q_sac_pos: float = 1e-6
-    q_sac_vel: float = 25.0
-    q_sac_force: float = 0.1
-    precision_dva: float = 0.1
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def __post_init__(self):
-        # comparisons with NaN are False, so each check is written to pass
-        # only for a finite value in range
-        for name in ("q_fix_pos", "q_fix_vel", "q_fix_force", "q_sac_pos", "q_sac_vel", "q_sac_force"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.precision_dva < math.inf:
-            raise ConfigError(f"precision_dva must be >= 0 and finite, got {self.precision_dva}")
-
-    def measurement_noise(self) -> tuple[float, float]:
-        """Position and velocity measurement variances from the precision.
-
-        Per-axis position noise sigma is precision/2 for isotropic noise
-        (RMS-S2S of iid two-axis noise is 2 sigma); velocity noise follows by
-        the causal differentiator's white-noise gain.
-        """
-        pos_var = max(self.precision_dva / 2.0, 1e-3) ** 2
-        return pos_var, pos_var * DiffConfig(mode="causal").noise_gain() ** 2
 
 
 @dataclass(frozen=True)
@@ -367,22 +347,16 @@ class _RegimeMatrices:
 
         # .tolist() gives Python floats; numpy scalars would be slower
         self.step = (
-            (
-                tuple(self.phi_fix.ravel().tolist()),
-                (cfg.q_fix_pos, cfg.q_fix_vel, cfg.q_fix_force, cfg.q_fix_force),
-            ),
-            (
-                tuple(self.phi_sac.ravel().tolist()),
-                (cfg.q_sac_pos, cfg.q_sac_vel, cfg.q_sac_force, cfg.q_sac_force),
-            ),
+            (tuple(self.phi_fix.ravel().tolist()), Q_FIXATION),
+            (tuple(self.phi_sac.ravel().tolist()), Q_SACCADE),
         )
 
 
-def _initial_state(x: float, y: float, pos_var: float) -> tuple[tuple, tuple]:
+def _initial_state(x: float, y: float) -> tuple[tuple, tuple]:
     """Position and the agonist/antagonist holding pair (g_ag = theta,
     g_ant = -theta) at the first sample, with a wide velocity prior."""
     mean = (x, y, 0.0, 0.0, x, y, -x, -y)
-    cov = (max(pos_var, 1e-6), 0.0, 0.0, 0.0, 500.0**2, 0.0, 0.0, 25.0, 0.0, 25.0)
+    cov = (_POS_VAR, 0.0, 0.0, 0.0, 500.0**2, 0.0, 0.0, 25.0, 0.0, 25.0)
     return mean, cov
 
 
@@ -407,14 +381,14 @@ def opkf_predict_multi(
     """
     for pi in pi_list:
         _check_pi(pi)
-    vel, saccade = _regime_inputs(rec, cfg)
+    vel, saccade = _regime_inputs(rec)
     return _filter_pass(rec, cfg, pi_list, vel, saccade)
 
 
-def _regime_inputs(rec, cfg) -> tuple[VelocityTrace, np.ndarray]:
+def _regime_inputs(rec) -> tuple[VelocityTrace, np.ndarray]:
     """Causal velocity and per-sample saccade regime: the plant-free inputs."""
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
-    return vel, causal_saccade_mask(rec, vel, cfg.classifier)
+    return vel, causal_saccade_mask(rec, vel)
 
 
 def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
@@ -423,8 +397,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     sample_ok = rec.valid.tolist()
     vel_ok = vel.valid.tolist()
     matrices = _RegimeMatrices(cfg, tuple(pi_list))
-    noise_full = cfg.measurement_noise()
-    noise_pos = noise_full[:1]
+    noise_pos = MEASUREMENT_NOISE[:1]
 
     # Posterior rows go into a flat float array, 8 per sample, in the
     # (4, 2) row-major order of a mean; rows before the start are NaN.
@@ -432,7 +405,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     start = int(valid_idx[0]) if valid_idx.size else n
     flat = array("d", [math.nan]) * (8 * start)
     if start < n:
-        mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]), noise_full[0])
+        mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]))
         flat.extend(mean)
         columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
         samples = zip(saccade.tolist(), sample_ok, vel_ok, *columns)
@@ -441,7 +414,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
             mean, cov = kalman_predict(mean, cov, *step[sac])
             if s_ok:
                 if v_ok:
-                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), noise_full)
+                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), MEASUREMENT_NOISE)
                 else:
                     mean, cov = kalman_update(mean, cov, (x, y), noise_pos)
             flat.extend(mean)
@@ -605,7 +578,6 @@ def fit_subject_params(
     rec: GazeRecording,
     segs: list[EventSegment],
     base: PlantParams = DEFAULT_PARAMS,
-    cfg: OpkfConfig = OpkfConfig(),
     max_evals: int = 200,
     pi_ms: int = 40,
 ) -> FitOutcome:
@@ -619,7 +591,8 @@ def fit_subject_params(
 
     The objective is the mean ``pi_ms``-ahead error, as ``score_run``
     scores it, over targets in the first 40% of detected saccades and the
-    CEP window after each, filtering from the start of the recording. The
+    CEP window after each, of the filter with the candidate plant and the
+    module's noise constants, run from the start of the recording. The
     velocity and regime labels are computed once, and so is the base set's
     error, which the first simplex vertex reuses. Returns the fitted
     parameters only when they score better than the base set on
@@ -640,10 +613,10 @@ def fit_subject_params(
     prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("t_ms", "x", "y", "valid")})
     prefix_segs = [s for s in segs if s.start_idx < cal_end]
     prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
-    vel, saccade = _regime_inputs(prefix, cfg)
+    vel, saccade = _regime_inputs(prefix)
 
     def error_of(params: PlantParams) -> float:
-        run = _filter_pass(prefix, replace(cfg, params=params), (pi_ms,), vel, saccade)
+        run = _filter_pass(prefix, OpkfConfig(params), (pi_ms,), vel, saccade)
         scored = score_run(run[pi_ms], prefix, prefix_segs)
         err = scored.error_dva[target_mask[scored.sample_idx]]
         if err.size == 0:
@@ -669,36 +642,3 @@ def fit_subject_params(
         params, cal_error = _params_from_log(base, result.x), result.fun
     return FitOutcome(params, cal_error, base_error, result.n_evals, result.converged)
 
-
-def save_fits(fits: dict[str, FitOutcome], path) -> None:
-    data = {}
-    for subject_id, fit in fits.items():
-        data[subject_id] = {
-            "params": json.loads(fit.params.to_json()),
-            "cal_error": fit.cal_error,
-            "base_error": fit.base_error,
-            "n_evals": fit.n_evals,
-            "converged": fit.converged,
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-
-
-def load_fits(path) -> dict[str, FitOutcome]:
-    """Fits written by ``save_fits``; ParseError if the file is malformed."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-        return {
-            subject_id: FitOutcome(
-                params=PlantParams.from_json(json.dumps(row["params"])),
-                cal_error=float(row["cal_error"]),
-                base_error=float(row["base_error"]),
-                n_evals=int(row["n_evals"]),
-                converged=bool(row["converged"]),
-            )
-            for subject_id, row in data.items()
-        }
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed fits file {path}: {exc!r}") from exc

@@ -31,8 +31,7 @@ aimed. Any settled position is a fixed point of that form.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -89,21 +88,6 @@ class PlantParams:
     @property
     def b_total(self) -> float:
         return self.Bp + self.Bag + self.Bant
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlantParams":
-        data = json.loads(text)
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"unknown plant parameters: {sorted(unknown)}")
-        missing = names - set(data)
-        if missing:
-            raise ConfigError(f"missing plant parameters: {sorted(missing)}")
-        return cls(**{k: float(v) for k, v in data.items()})
 
 
 DEFAULT_PARAMS = PlantParams()

@@ -28,7 +28,6 @@ from .errors import (
 )
 
 RATE_HZ = 1000
-MIN_VALID_FOR_EVALUATION = 1000
 
 
 @dataclass(frozen=True)
@@ -80,22 +79,14 @@ class GazeRecording:
     def duration_ms(self) -> int:
         return int(self.t_ms[-1] - self.t_ms[0] + 1)
 
-    def target_at(self, t_ms: int) -> tuple[float, float] | None:
-        """Target position in effect at time t_ms, or None before the first step."""
-        if self.targets is None or len(self.targets) == 0:
-            return None
-        idx = int(np.searchsorted(self.targets[:, 0], t_ms, side="right")) - 1
-        if idx < 0:
-            return None
-        return float(self.targets[idx, 1]), float(self.targets[idx, 2])
-
 
 @dataclass(frozen=True)
 class ColumnMapping:
     """Names of the CSV columns carrying each field.
 
-    ``validity`` and the target columns are optional. When ``validity`` is
-    absent, a sample is valid iff both gaze fields parse to finite floats.
+    ``validity`` and the target columns are optional; the two target
+    columns are named together or not at all. When ``validity`` is absent,
+    a sample is valid iff both gaze fields parse to finite floats.
     """
 
     timestamp: str = "t_ms"
@@ -104,6 +95,10 @@ class ColumnMapping:
     validity: str | None = None
     target_x: str | None = None
     target_y: str | None = None
+
+    def __post_init__(self):
+        if (self.target_x is None) != (self.target_y is None):
+            raise ConfigError("target_x and target_y must be named together")
 
 
 @dataclass(frozen=True)
@@ -169,9 +164,10 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
     """Read one recording from a UTF-8 CSV with a header row.
 
     Rows whose gaze fields are empty, "NaN", or non-finite become
-    valid=False samples. Raises ParseError (with row number) on malformed
-    rows, RateError on non-1 ms timestamp steps, EmptyInputError on a file
-    with no data rows.
+    valid=False samples; a row whose target fields are empty or non-finite
+    logs no target step. Raises ParseError (with row number) on a missing
+    column or a malformed row, RateError on non-1 ms timestamp steps,
+    EmptyInputError on a file with no data rows.
     """
     t_list: list[int] = []
     x_list: list[float] = []
@@ -183,8 +179,9 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyInputError(f"{path}: empty file")
-        for col in (mapping.timestamp, mapping.x, mapping.y):
-            if col not in reader.fieldnames:
+        named = (mapping.timestamp, mapping.x, mapping.y, mapping.validity, mapping.target_x, mapping.target_y)
+        for col in named:
+            if col is not None and col not in reader.fieldnames:
                 raise ParseError(f"{path}: missing column {col!r}", row=1)
         for rownum, row in enumerate(reader, start=2):
             raw_t = row.get(mapping.timestamp)
@@ -207,12 +204,12 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
             x_list.append(x if ok else math.nan)
             y_list.append(y if ok else math.nan)
             valid_list.append(ok)
-            if mapping.target_x and mapping.target_y:
+            if mapping.target_x is not None:
                 try:
                     tx = _parse_float(row.get(mapping.target_x, ""))
                     ty = _parse_float(row.get(mapping.target_y, ""))
-                except ValueError:
-                    tx = ty = math.nan
+                except ValueError as exc:
+                    raise ParseError(f"{path}: bad target value ({exc})", row=rownum) from None
                 if math.isfinite(tx) and math.isfinite(ty):
                     if not tgt_rows or (tgt_rows[-1][1], tgt_rows[-1][2]) != (tx, ty):
                         tgt_rows.append((t, tx, ty))
@@ -229,32 +226,6 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
         valid=np.asarray(valid_list, dtype=bool),
         targets=targets,
     )
-
-
-def export_csv(rec: GazeRecording, path, mapping: ColumnMapping = ColumnMapping()) -> None:
-    """Write a recording in the same CSV dialect ingest_csv reads.
-
-    Valid rows round-trip bit-exactly (floats are written with repr).
-    Invalid samples are written with empty gaze fields.
-    """
-    tgt = rec.targets
-    write_targets = tgt is not None and mapping.target_x and mapping.target_y
-    header = [mapping.timestamp, mapping.x, mapping.y]
-    if write_targets:
-        header += [mapping.target_x, mapping.target_y]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(rec.n_samples):
-            t = int(rec.t_ms[i])
-            if rec.valid[i]:
-                row = [t, repr(float(rec.x[i])), repr(float(rec.y[i]))]
-            else:
-                row = [t, "", ""]
-            if write_targets:
-                at = rec.target_at(t)
-                row += ["", ""] if at is None else [repr(at[0]), repr(at[1])]
-            writer.writerow(row)
 
 
 def compute_velocity(rec: GazeRecording, cfg: DiffConfig = DiffConfig()) -> VelocityTrace:

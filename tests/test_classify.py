@@ -12,8 +12,6 @@ from gazecast.classify import (
     classify_events,
     fixation_noise_threshold,
     saccade_class,
-    segments_from_json,
-    segments_to_json,
 )
 from gazecast.errors import AlignmentError, ConfigError, InsufficientDataError
 from gazecast.signal import DiffConfig, VelocityTrace, compute_velocity, recording_from_arrays
@@ -211,14 +209,6 @@ class TestConfig:
             ClassifierConfig(peak_threshold=10.0, onset_offset_threshold=20.0)
         with pytest.raises(ConfigError):
             ClassifierConfig(onset_offset_threshold=0.0)
-
-
-class TestJsonRoundTrip:
-    def test_roundtrip(self):
-        rec = make_step_recording()
-        segs = classify_events(rec, compute_velocity(rec))
-        back = segments_from_json(segments_to_json(segs))
-        assert back == segs
 
 
 def causal_mask(v, vel_ok=None, sample_ok=None):

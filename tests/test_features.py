@@ -7,9 +7,7 @@ from gazecast.features import (
     data_quality,
     mn_vel_r_md,
     pk_vel_dur_ratio_r_md,
-    read_features_csv,
     subject_features,
-    write_features_csv,
 )
 from gazecast.signal import compute_velocity, recording_from_arrays
 
@@ -144,6 +142,24 @@ class TestDataQuality:
         acc, _ = data_quality(rec, late)
         assert acc == pytest.approx(0.0, abs=1e-12)
 
+    def test_fixation_before_first_target_skipped(self):
+        # targets start at t=200: the fixation before them has no target
+        # and is skipped, though it lies within the lock radius of the
+        # first one; the fixation after the 100 ms lock is counted
+        n = 600
+        x = np.concatenate([np.full(200, 3.5), np.full(n - 200, 1.0)])
+        targets = np.array([[200.0, 1.5, 0.0]])
+        rec = recording_from_arrays("s", x, np.zeros(n), targets=targets)
+        segs = [
+            EventSegment(EventKind.FIXATION, 0, 199),
+            EventSegment(EventKind.OTHER, 200, 349),
+            EventSegment(EventKind.FIXATION, 350, n - 1),
+        ]
+        acc, _ = data_quality(rec, segs)
+        assert acc == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(InsufficientDataError):
+            data_quality(rec, segs[:2])
+
 
 class TestInvariancesAndCohort:
     def test_translation_invariance(self):
@@ -195,15 +211,3 @@ class TestInvariancesAndCohort:
             feats.append(pk_vel_dur_ratio_r_md(segs))
         assert feats[0] < feats[1] < feats[2]
 
-    def test_csv_roundtrip(self, tmp_path):
-        from gazecast.plant import SynthConfig, generate_cohort
-
-        member = generate_cohort(SynthConfig(n_subjects=1, duration_s=12.0, rng_seed=5))[0]
-        rec = member.recording
-        vel = compute_velocity(rec)
-        segs = classify_events(rec, vel)
-        row = subject_features(rec, vel, segs)
-        p = tmp_path / "features.csv"
-        write_features_csv([row], p)
-        back = read_features_csv(p)
-        assert back == [row]

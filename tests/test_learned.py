@@ -1,6 +1,5 @@
 """Window building, LSTM forward/backward/training, and baseline predictors."""
 
-import json
 import math
 from pathlib import Path
 
@@ -9,13 +8,7 @@ import pytest
 
 from conftest import kink_free_lstm_fixture
 from gazecast import learned as L
-from gazecast.errors import (
-    AlignmentError,
-    ConfigError,
-    DivergenceError,
-    EmptyInputError,
-    ParseError,
-)
+from gazecast.errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
 PI = 40
@@ -349,47 +342,6 @@ class TestTraining:
         pred = L.lstm_forward(model, hold.inputs)
         err = np.hypot(*(pred - hold.targets).T)
         assert err.max() <= 0.02
-
-
-class TestPersistence:
-    def test_roundtrip_bitwise(self, tmp_path):
-        model = L.LstmModel.init_seeded(17)
-        model.input_scale = 2e-3
-        path = tmp_path / "weights.json"
-        L.save_weights(model, path)
-        loaded = L.load_weights(path)
-        assert loaded.input_scale == model.input_scale
-        for name in L.PARAM_SHAPES:
-            assert np.array_equal(loaded.params[name], model.params[name])
-
-    def test_named_tensors_with_shapes(self, tmp_path):
-        path = tmp_path / "weights.json"
-        L.save_weights(L.LstmModel.init_seeded(0), path)
-        doc = json.loads(path.read_text())
-        assert set(doc["params"]) == set(L.PARAM_SHAPES)
-        for name, shape in L.PARAM_SHAPES.items():
-            assert doc["params"][name]["shape"] == list(shape)
-
-    def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"format": "something-else", "params": {}}))
-        with pytest.raises(ConfigError):
-            L.load_weights(path)
-
-    def test_missing_params_is_parse_error(self, tmp_path):
-        path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"format": "lstm-weights-v1"}))
-        with pytest.raises(ParseError, match="params"):
-            L.load_weights(path)
-
-    def test_data_not_matching_shape_is_parse_error(self, tmp_path):
-        path = tmp_path / "weights.json"
-        L.save_weights(L.LstmModel.init_seeded(0), path)
-        doc = json.loads(path.read_text())
-        doc["params"]["fc1.b"]["data"].pop()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="reshape"):
-            L.load_weights(path)
 
 
 class TestSplitSubjects:

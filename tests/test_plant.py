@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -108,18 +107,6 @@ class TestParams:
             PlantParams(tau_ag_act=0.0005)
         with pytest.raises(ConfigError):
             PlantParams(tau_ant_deact=0.6)
-
-    def test_json_roundtrip(self):
-        p = DEFAULT_PARAMS
-        assert PlantParams.from_json(p.to_json()) == p
-
-    def test_json_rejects_unknown_and_missing(self):
-        with pytest.raises(ConfigError):
-            PlantParams.from_json(json.dumps({"Kse": 1.0}))
-        data = json.loads(DEFAULT_PARAMS.to_json())
-        data["bogus"] = 1.0
-        with pytest.raises(ConfigError):
-            PlantParams.from_json(json.dumps(data))
 
 
 class TestSimulateSaccade:

@@ -11,7 +11,6 @@ from gazecast.signal import (
     DiffConfig,
     GazeRecording,
     compute_velocity,
-    export_csv,
     ingest_csv,
     recording_from_arrays,
 )
@@ -96,20 +95,54 @@ class TestIngest:
             "3,0.3,0.0,-5.0,0.0\n",
         )
         rec = ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
-        assert rec.targets.shape == (2, 3)
-        assert rec.target_at(0) == (5.0, 0.0)
-        assert rec.target_at(2) == (-5.0, 0.0)
-        assert rec.target_at(3) == (-5.0, 0.0)
+        assert rec.targets.tolist() == [[0.0, 5.0, 0.0], [2.0, -5.0, 0.0]]
+
+    def test_empty_target_cell_logs_no_step(self, tmp_path):
+        p = write_csv(
+            tmp_path / "r.csv",
+            "t_ms,x_dva,y_dva,tx,ty\n0,0.0,0.0,,\n1,0.1,0.0,5.0,0.0\n",
+        )
+        rec = ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
+        assert rec.targets.tolist() == [[1.0, 5.0, 0.0]]
+
+    def test_malformed_target_reports_line(self, tmp_path):
+        p = write_csv(
+            tmp_path / "r.csv",
+            "t_ms,x_dva,y_dva,tx,ty\n0,0.0,0.0,5.0,0.0\n1,0.1,0.0,abc,0.0\n",
+        )
+        with pytest.raises(ParseError, match="target") as exc:
+            ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
+        assert exc.value.row == 3
+
+    @pytest.mark.parametrize("named", [{"target_x": "tx"}, {"target_y": "ty"}])
+    def test_one_target_column_rejected(self, named):
+        with pytest.raises(ConfigError, match="together"):
+            ColumnMapping(**named)
+
+    @pytest.mark.parametrize(
+        "mapping, missing",
+        [(ColumnMapping(target_x="tx", target_y="ty"), "ty"), (ColumnMapping(validity="ok"), "ok")],
+    )
+    def test_missing_optional_column(self, tmp_path, mapping, missing):
+        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva,tx\n0,0.0,0.0,5.0\n")
+        with pytest.raises(ParseError, match=f"missing column '{missing}'") as exc:
+            ingest_csv(p, mapping)
+        assert exc.value.row == 1
 
     def test_roundtrip(self, tmp_path):
+        # floats written with repr read back bit-exactly; an invalid sample
+        # is written with empty gaze fields
         rng = np.random.default_rng(7)
         x = rng.normal(size=50)
         y = rng.normal(size=50)
         valid = np.ones(50, dtype=bool)
         valid[10:13] = False
         rec = recording_from_arrays("s1", x, y, valid)
-        out = tmp_path / "out.csv"
-        export_csv(rec, out)
+        rows = [
+            f"{t},{xi!r},{yi!r}" if ok else f"{t},,"
+            for t, xi, yi, ok in zip(rec.t_ms.tolist(), rec.x.tolist(), rec.y.tolist(), rec.valid)
+        ]
+        out = write_csv(tmp_path / "out.csv", "t_ms,x_dva,y_dva\n" + "\n".join(rows) + "\n")
         back = ingest_csv(out, ColumnMapping(), subject_id="s1")
         assert np.array_equal(back.valid, rec.valid)
         m = rec.valid
