@@ -335,7 +335,7 @@ class _RegimeMatrices:
             a_fix[row, 0] = sgn * (1.0 - alpha)
         self.phi_fix = a_fix
 
-        phi_phys, _ = transition_matrices(p, 1.0)
+        phi_phys, _ = transition_matrices(p)
         scale = np.diag([1.0, 1.0, 2.0 / k, 2.0 / k])
         unscale = np.diag([1.0, 1.0, k / 2.0, k / 2.0])
         self.phi_sac = scale @ phi_phys @ unscale

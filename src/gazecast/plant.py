@@ -22,11 +22,16 @@ the target exactly. The model is linear, so each phase is advanced with the
 exact matrix exponential of its affine system and a 1 ms grid is not an
 approximation.
 
+``simulate_saccade`` returns the trajectory as a (steps, 4) array of states.
+Each phase's one-step map x' = Phi x + c is built once per call, and the
+recursion fills a preallocated array; only the step that straddles the
+pulse/step boundary is split into two exact sub-steps.
+
 The same mechanics serve the predictor through a second, target-blind form
-(``plant_transition`` / ``transition_matrices``): forces re-equilibrate
-toward the holding pair of the *current* position, so an excited state
-coasts through a ballistic completion without knowing where the saccade was
-aimed. Any settled position is a fixed point of that form.
+(``transition_matrices``): forces re-equilibrate toward the holding pair of
+the *current* position, so an excited state coasts through a ballistic
+completion without knowing where the saccade was aimed. Any settled position
+is a fixed point of that form.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .classify import FIXATION, SACCADE, EventSegment, segments_from_labels
 from .errors import ConfigError, FitError, InstabilityError
 from .signal import GazeRecording, recording_from_arrays
 
-SETTLE_SUSTAIN_MS = 20.0
-SIMULATION_CAP_MS = 400.0
+SETTLE_SUSTAIN_MS = 20  # whole ms: the simulator's grid is 1 ms
+SIMULATION_CAP_MS = 400
 TRUTH_VELOCITY_THRESHOLD = 20.0  # dva/s; matches the classifier's onset/offset default
 MIN_TARGET_STEP_DVA = 5.0
 
@@ -93,24 +98,10 @@ class PlantParams:
 DEFAULT_PARAMS = PlantParams()
 
 
-@dataclass(frozen=True)
-class PlantState:
-    theta: float
-    omega: float
-    f_ag: float
-    f_ant: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.omega, self.f_ag, self.f_ant])
-
-    @classmethod
-    def from_array(cls, a) -> "PlantState":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-def equilibrium_state(params: PlantParams, theta: float) -> PlantState:
+def equilibrium_state(params: PlantParams, theta: float) -> np.ndarray:
+    """The settled state [theta, 0, F_ag, F_ant] holding position theta."""
     h = 0.5 * params.k_total * theta
-    return PlantState(theta=theta, omega=0.0, f_ag=h, f_ant=-h)
+    return np.array([theta, 0.0, h, -h])
 
 
 def _mechanics_rows(params: PlantParams) -> tuple[list[float], list[float]]:
@@ -118,33 +109,31 @@ def _mechanics_rows(params: PlantParams) -> tuple[list[float], list[float]]:
     return [0.0, 1.0, 0.0, 0.0], [-k / j, -b / j, 1.0 / j, -1.0 / j]
 
 
-@lru_cache(maxsize=512)
-def _affine_step(params: PlantParams, tau1: float, tau2: float, dt_ms: float):
-    """Exact discrete (Phi, M) for the position-command form.
+def _affine_step(params: PlantParams, taus: tuple[float, float], b: np.ndarray, dt_ms: float):
+    """Exact discrete (Phi, c) for one phase of the position-command form.
 
     Continuous system: x_dot = A x + b with force rows relaxing toward
     constant neural levels; the caller supplies b = [0, 0, N_ag/tau1,
-    N_ant/tau2]. Returns Phi = expm(A dt) and M = A^-1 (Phi - I) so that
-    x' = Phi x + M b.
+    N_ant/tau2]. Returns Phi = expm(A dt) and c = A^-1 (Phi - I) b so that
+    x' = Phi x + c.
     """
     r0, r1 = _mechanics_rows(params)
     a = np.array(
         [
             r0,
             r1,
-            [0.0, 0.0, -1.0 / tau1, 0.0],
-            [0.0, 0.0, 0.0, -1.0 / tau2],
+            [0.0, 0.0, -1.0 / taus[0], 0.0],
+            [0.0, 0.0, 0.0, -1.0 / taus[1]],
         ]
     )
-    dt = dt_ms / 1000.0
-    phi = expm(a * dt)
+    phi = expm(a * (dt_ms / 1000.0))
     m = np.linalg.solve(a, phi - np.eye(4))
-    return phi, m
+    return phi, m @ b
 
 
 @lru_cache(maxsize=64)
-def _tracking_step(params: PlantParams, dt_ms: float):
-    """Exact discrete (Phi, Gamma) for the target-blind re-equilibration form.
+def _tracking_step(params: PlantParams):
+    """Exact 1 ms (Phi, Gamma) for the target-blind re-equilibration form.
 
     Continuous system: forces relax toward the holding pair of the current
     position plus a symmetric drive u: N_ag = (K/2)*theta + u,
@@ -167,28 +156,14 @@ def _tracking_step(params: PlantParams, dt_ms: float):
     aug = np.zeros((5, 5))
     aug[:4, :4] = a
     aug[:4, 4] = b_unit
-    m = expm(aug * (dt_ms / 1000.0))
+    m = expm(aug * (1.0 / 1000.0))
     return m[:4, :4].copy(), m[:4, 4].copy()
 
 
-def transition_matrices(params: PlantParams, dt_ms: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Gamma) of the target-blind form: x' = Phi x + Gamma u."""
-    phi, gamma = _tracking_step(params, float(dt_ms))
+def transition_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Gamma) of the target-blind form over 1 ms: x' = Phi x + Gamma u."""
+    phi, gamma = _tracking_step(params)
     return phi.copy(), gamma.copy()
-
-
-def plant_transition(
-    params: PlantParams, state: PlantState, input_level: float = 0.0, dt_ms: float = 1.0
-) -> PlantState:
-    """One exact discrete step of the target-blind plant form."""
-    x = state.as_array()
-    if not np.all(np.isfinite(x)):
-        raise InstabilityError(f"non-finite plant state {state}")
-    phi, gamma = _tracking_step(params, float(dt_ms))
-    out = phi @ x + gamma * float(input_level)
-    if not np.all(np.isfinite(out)):
-        raise InstabilityError(f"plant step diverged with params {params}")
-    return PlantState.from_array(out)
 
 
 def _phase_taus(params: PlantParams, direction: float, pulse: bool) -> tuple[float, float]:
@@ -198,21 +173,16 @@ def _phase_taus(params: PlantParams, direction: float, pulse: bool) -> tuple[flo
     return params.tau_ag_deact, params.tau_ant_act
 
 
-def simulate_saccade(
-    params: PlantParams,
-    start_dva: float,
-    target_dva: float,
-    dt_ms: float = 1.0,
-) -> list[PlantState]:
-    """Simulate one single-axis saccade on a dt_ms grid, starting settled.
+def simulate_saccade(params: PlantParams, start_dva: float, target_dva: float) -> np.ndarray:
+    """Simulate one single-axis saccade on a 1 ms grid, starting settled.
 
-    The trajectory begins at the equilibrium for start_dva and runs until
+    Returns a (steps, 4) array of states [theta, omega, F_ag, F_ant], the
+    first row being the equilibrium for start_dva. The trajectory runs until
     |theta - target| < 1% of the commanded amplitude has been sustained for
-    20 ms, or a 400 ms cap. Pulse width is honored exactly: a grid step that
-    straddles the pulse/step boundary is advanced in two exact sub-steps.
+    20 ms, or a 400 ms cap. Pulse width is honored exactly: the grid step
+    that straddles the pulse/step boundary is advanced in two exact
+    sub-steps.
     """
-    if dt_ms > 1.0 or dt_ms <= 0:
-        raise ConfigError(f"dt_ms must be in (0, 1], got {dt_ms}")
     amp = target_dva - start_dva
     if abs(amp) > 40.0:
         raise ConfigError(f"saccade amplitude {amp:.2f} dva exceeds the 40 dva limit")
@@ -223,43 +193,43 @@ def simulate_saccade(
     width_ms = params.pulse_width_coeff * abs(amp)
     hold = 0.5 * k * target_dva
 
-    def phase_b(pulse: bool, taus: tuple[float, float]) -> np.ndarray:
+    def phase(pulse: bool, dt_ms: float):
+        taus = _phase_taus(params, sign, pulse)
         drive = sign * height if pulse else 0.0
-        return np.array([0.0, 0.0, (hold + drive) / taus[0], (-hold - drive) / taus[1]])
-
-    taus_pulse = _phase_taus(params, sign, pulse=True)
-    taus_step = _phase_taus(params, sign, pulse=False)
-    b_pulse = phase_b(True, taus_pulse)
-    b_step = phase_b(False, taus_step)
-
-    def advance(x: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        """Advance across [t_from, t_to], honoring the phase boundary."""
-        if t_to <= width_ms or t_from >= width_ms:
-            pulse = t_to <= width_ms
-            taus = taus_pulse if pulse else taus_step
-            phi, m = _affine_step(params, taus[0], taus[1], round(t_to - t_from, 9))
-            return phi @ x + m @ (b_pulse if pulse else b_step)
-        x = advance(x, t_from, width_ms)
-        return advance(x, width_ms, t_to)
+        b = np.array([0.0, 0.0, (hold + drive) / taus[0], (-hold - drive) / taus[1]])
+        return _affine_step(params, taus, b, dt_ms)
 
     tol = max(0.01 * abs(amp), 1e-9)
-    sustain_steps = int(np.ceil(SETTLE_SUSTAIN_MS / dt_ms))
-    cap_steps = int(np.ceil(SIMULATION_CAP_MS / dt_ms))
+    # steps 1..n_pulse lie inside the pulse; step n_pulse + 1 straddles the
+    # boundary unless the width is a whole number of ms
+    n_pulse = int(width_ms)
+    split = n_pulse < width_ms
+    phi_pulse, c_pulse = phase(True, 1.0)
+    phi_step, c_step = phase(False, 1.0)
+    if split:
+        phi_head, c_head = phase(True, round(width_ms - float(n_pulse), 9))
+        phi_tail, c_tail = phase(False, round(float(n_pulse + 1) - width_ms, 9))
 
-    x = equilibrium_state(params, start_dva).as_array()
-    traj = [PlantState.from_array(x)]
-    settled_run = 1 if abs(x[0] - target_dva) < tol else 0
-    t = 0.0
-    for step in range(1, cap_steps + 1):
-        t_next = step * dt_ms
-        x = advance(x, t, t_next)
-        t = t_next
-        if not np.all(np.isfinite(x)):
-            raise InstabilityError(f"saccade simulation diverged with params {params}")
-        traj.append(PlantState.from_array(x))
-        settled_run = settled_run + 1 if abs(x[0] - target_dva) < tol else 0
-        if settled_run >= sustain_steps:
+    traj = np.empty((SIMULATION_CAP_MS + 1, 4))
+    traj[0] = equilibrium_state(params, start_dva)
+    settled_run = 1 if abs(traj[0, 0] - target_dva) < tol else 0
+    for step in range(1, SIMULATION_CAP_MS + 1):
+        x, out = traj[step - 1], traj[step]
+        if step <= n_pulse:
+            np.matmul(phi_pulse, x, out=out)
+            out += c_pulse
+        elif split and step == n_pulse + 1:
+            np.matmul(phi_tail, phi_head @ x + c_head, out=out)
+            out += c_tail
+        else:
+            np.matmul(phi_step, x, out=out)
+            out += c_step
+        settled_run = settled_run + 1 if abs(out[0] - target_dva) < tol else 0
+        if settled_run >= SETTLE_SUSTAIN_MS:
             break
+    traj = traj[: step + 1]
+    if not np.all(np.isfinite(traj)):
+        raise InstabilityError(f"saccade simulation diverged with params {params}")
     return traj
 
 
@@ -361,16 +331,16 @@ def drift_noise(rng: np.random.Generator, n: int, sigma: float, corner_hz: float
         return np.zeros(n)
     a = float(np.exp(-2.0 * np.pi * corner_hz / 1000.0))
     e = rng.standard_normal(n)
-    y = np.empty(n)
-    z1 = rng.standard_normal() / np.sqrt(1.0 - a * a)  # stationary start
+    z1 = float(rng.standard_normal() / np.sqrt(1.0 - a * a))  # stationary start
     # second stage starts at its own stationary draw to avoid a warm-up ramp
     var2 = (1.0 + a * a) / (1.0 - a * a) ** 3
-    z2 = rng.standard_normal() * np.sqrt(var2)
-    for i in range(n):
-        z1 = a * z1 + e[i]
+    z2 = float(rng.standard_normal() * np.sqrt(var2))
+    y = []
+    for ei in e.tolist():  # Python floats: the recursion is sequential
+        z1 = a * z1 + ei
         z2 = a * z2 + z1
-        y[i] = z2
-    return y * (sigma / np.sqrt(var2))
+        y.append(z2)
+    return np.array(y) * (sigma / np.sqrt(var2))
 
 
 def _draw_targets(rng: np.random.Generator, cfg: SynthConfig, count: int) -> np.ndarray:
@@ -420,13 +390,13 @@ def _simulate_subject(
             break
         traj_x = simulate_saccade(params, pos[0], targets[k][0])
         traj_y = simulate_saccade(params, pos[1], targets[k][1])
-        span = max(len(traj_x), len(traj_y))
-        end = min(onset + span, n)
-        for i in range(onset, end):
-            sx = traj_x[min(i - onset, len(traj_x) - 1)]
-            sy = traj_y[min(i - onset, len(traj_y) - 1)]
-            x[i], y[i] = sx.theta, sy.theta
-            wx[i], wy[i] = sx.omega, sy.omega
+        end = min(onset + max(len(traj_x), len(traj_y)), n)
+        # the shorter trajectory holds its final state until the longer settles
+        ks = np.arange(end - onset)
+        sx = traj_x[np.minimum(ks, len(traj_x) - 1)]
+        sy = traj_y[np.minimum(ks, len(traj_y) - 1)]
+        x[onset:end], wx[onset:end] = sx[:, 0], sx[:, 1]
+        y[onset:end], wy[onset:end] = sy[:, 0], sy[:, 1]
         pos = np.array([x[end - 1], y[end - 1]])
         x[end:], y[end:] = pos
         sacc_windows.append((onset, end - 1))

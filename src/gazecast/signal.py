@@ -2,10 +2,10 @@
 
 Positions are degrees of visual angle (dva), timestamps are integer
 milliseconds at a fixed 1000 Hz rate. Velocities are dva/s estimated with a
-Savitzky-Golay derivative; any derivative window that overlaps an invalid
-(blink / track-loss) sample is itself invalid, and edge samples where the
-window does not fit are invalid too. No interpolation is ever performed
-across gaps.
+fixed 7-sample, order-2 Savitzky-Golay derivative whose taps are stored as
+constants; any derivative window that overlaps an invalid (blink /
+track-loss) sample is itself invalid, and edge samples where the window does
+not fit are invalid too. No interpolation is ever performed across gaps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import savgol_coeffs
 
 from .errors import (
     AlignmentError,
@@ -28,6 +27,37 @@ from .errors import (
 )
 
 RATE_HZ = 1000
+SG_WINDOW = 7
+SG_POLYORDER = 2
+
+
+def _taps(*values: float) -> np.ndarray:
+    taps = np.array(values)
+    taps.flags.writeable = False
+    return taps
+
+
+# Per-ms derivative taps of the order-2 fit over a 7-sample window, oldest
+# sample first: the exact float64 values of scipy.signal.savgol_coeffs(7, 2,
+# deriv=1, pos=3 | 6, use="dot"). The centered set is k/28 up to rounding.
+CENTERED_TAPS = _taps(
+    -0.10714285714285723,
+    -0.07142857142857136,
+    -0.035714285714285546,
+    2.1251522528685812e-16,
+    0.0357142857142859,
+    0.07142857142857155,
+    0.10714285714285711,
+)
+CAUSAL_TAPS = _taps(
+    0.25000000000000033,
+    -0.07142857142857159,
+    -0.25000000000000017,
+    -0.2857142857142859,
+    -0.1785714285714283,
+    0.0714285714285717,
+    0.464285714285715,
+)
 
 
 @dataclass(frozen=True)
@@ -106,27 +136,19 @@ class DiffConfig:
     """Savitzky-Golay differentiator settings.
 
     ``mode`` selects where in the window the derivative is evaluated:
-    "centered" (symmetric, lowest noise, 3-sample lookahead at window 7) or
-    "causal" (right-edge evaluation, strictly uses past samples only).
+    "centered" (symmetric, lowest noise, 3-sample lookahead) or "causal"
+    (right-edge evaluation, strictly uses past samples only).
     """
 
-    window: int = 7
-    polyorder: int = 2
     mode: str = "centered"
 
     def __post_init__(self):
-        if self.window % 2 == 0 or self.window < 3:
-            raise ConfigError(f"SG window must be odd and >= 3, got {self.window}")
-        if not 1 <= self.polyorder < self.window:
-            raise ConfigError("SG polyorder must satisfy 1 <= order < window")
         if self.mode not in ("centered", "causal"):
             raise ConfigError(f"unknown differentiation mode {self.mode!r}")
 
     def derivative_coeffs(self) -> np.ndarray:
-        """Per-sample derivative taps c such that v[i] = sum_k c[k]·x[i+offsets[k]]."""
-        pos = (self.window - 1) // 2 if self.mode == "centered" else self.window - 1
-        # savgol_coeffs with use="dot" returns taps aligned oldest-first
-        return savgol_coeffs(self.window, self.polyorder, deriv=1, pos=pos, use="dot")
+        """Read-only per-ms derivative taps over the window, oldest sample first."""
+        return CENTERED_TAPS if self.mode == "centered" else CAUSAL_TAPS
 
     def noise_gain(self) -> float:
         """Std of the dva/s velocity estimate per unit of white position noise."""
@@ -184,21 +206,23 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
             if col is not None and col not in reader.fieldnames:
                 raise ParseError(f"{path}: missing column {col!r}", row=1)
         for rownum, row in enumerate(reader, start=2):
-            raw_t = row.get(mapping.timestamp)
-            if raw_t is None or raw_t.strip() == "":
+            if None in row.values():  # DictReader fills a short row's missing fields with None
+                raise ParseError(f"{path}: row has fewer fields than the header", row=rownum)
+            raw_t = row[mapping.timestamp]
+            if raw_t.strip() == "":
                 raise ParseError(f"{path}: missing timestamp", row=rownum)
             try:
                 t = int(raw_t)
             except ValueError:
                 raise ParseError(f"{path}: bad timestamp {raw_t!r}", row=rownum) from None
             try:
-                x = _parse_float(row.get(mapping.x, ""))
-                y = _parse_float(row.get(mapping.y, ""))
+                x = _parse_float(row[mapping.x])
+                y = _parse_float(row[mapping.y])
             except ValueError as exc:
                 raise ParseError(f"{path}: bad gaze value ({exc})", row=rownum) from None
             ok = math.isfinite(x) and math.isfinite(y)
             if ok and mapping.validity is not None:
-                flag = (row.get(mapping.validity) or "").strip().lower()
+                flag = row[mapping.validity].strip().lower()
                 ok = flag in ("1", "true", "t", "yes", "valid")
             t_list.append(t)
             x_list.append(x if ok else math.nan)
@@ -206,8 +230,8 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
             valid_list.append(ok)
             if mapping.target_x is not None:
                 try:
-                    tx = _parse_float(row.get(mapping.target_x, ""))
-                    ty = _parse_float(row.get(mapping.target_y, ""))
+                    tx = _parse_float(row[mapping.target_x])
+                    ty = _parse_float(row[mapping.target_y])
                 except ValueError as exc:
                     raise ParseError(f"{path}: bad target value ({exc})", row=rownum) from None
                 if math.isfinite(tx) and math.isfinite(ty):
@@ -235,11 +259,11 @@ def compute_velocity(rec: GazeRecording, cfg: DiffConfig = DiffConfig()) -> Velo
     edge samples where the window does not fit.
     """
     n = rec.n_samples
-    if cfg.window > n:
-        raise ConfigError(f"SG window {cfg.window} larger than recording ({n} samples)")
+    w = SG_WINDOW
+    if w > n:
+        raise ConfigError(f"SG window {w} larger than recording ({n} samples)")
 
     c = cfg.derivative_coeffs() * 1000.0  # per-ms taps -> dva/s
-    w = cfg.window
     # taps are aligned oldest-first over offsets [i-left, i-left+w)
     left = (w - 1) // 2 if cfg.mode == "centered" else w - 1
 

@@ -119,8 +119,7 @@ class TestClassifyEvents:
         y = np.cumsum(rng.normal(scale=0.01, size=n))
         valid = rng.uniform(size=n) > 0.03
         rec = recording_from_arrays("s", x, y, valid)
-        w = 7 if n >= 7 else 3
-        segs = classify_events(rec, compute_velocity(rec, DiffConfig(window=w)))
+        segs = classify_events(rec, compute_velocity(rec))
         assert_tiling(segs, n)
 
 
@@ -129,10 +128,10 @@ class TestAgainstGenerator:
         from gazecast.plant import DEFAULT_PARAMS, simulate_saccade
 
         traj = simulate_saccade(DEFAULT_PARAMS, 0.0, 10.0)
-        x = np.concatenate([np.zeros(300), [s.theta for s in traj]])
+        x = np.concatenate([np.zeros(300), traj[:, 0]])
         x = np.concatenate([x, np.full(300, x[-1])])
         rec = recording_from_arrays("s", x, np.zeros(x.size))
-        om = np.abs(np.array([s.omega for s in traj]))
+        om = np.abs(traj[:, 1])
         fast = np.flatnonzero(om >= 20.0)
         truth_start, truth_end = 300 + fast[0], 300 + fast[-1]
         segs = classify_events(rec, compute_velocity(rec))

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from gazecast.plant import (
     DEFAULT_PARAMS,
     CohortMember,
     PlantParams,
-    PlantState,
     SynthConfig,
     drift_noise,
     equilibrium_state,
     generate_cohort,
-    plant_transition,
     simulate_saccade,
     transition_matrices,
 )
+
+# A pinned cohort written by the step-by-step simulator (b3b115b) before it
+# became array-based: one noise-free and one noisy subject, their gaze and
+# their truth segments. The array simulator must reproduce it bit for bit.
+COHORT_REFERENCE = Path(__file__).parent / "data" / "cohort_reference.npz"
+COHORT_REFERENCE_CFG = SynthConfig(n_subjects=2, duration_s=3.0, noise_sigma_per_subject=(0.0, 0.4), rng_seed=21)
 
 
 def lumped(params):
@@ -112,12 +117,13 @@ class TestParams:
 class TestSimulateSaccade:
     def test_zero_amplitude_stays_put(self):
         traj = simulate_saccade(DEFAULT_PARAMS, 5.0, 5.0)
-        assert all(abs(s.theta - 5.0) < 1e-9 for s in traj)
-        assert all(abs(s.omega) < 1e-6 for s in traj)
+        assert traj.shape[1] == 4
+        assert np.all(np.abs(traj[:, 0] - 5.0) < 1e-9)
+        assert np.all(np.abs(traj[:, 1]) < 1e-6)
 
     def test_settles_within_150ms(self):
         traj = simulate_saccade(DEFAULT_PARAMS, 0.0, 10.0)
-        th = np.array([s.theta for s in traj])
+        th = traj[:, 0]
         # trajectory ends once |theta - target| < 0.1 held for 20 ms
         assert len(traj) - 1 - 20 < 150
         assert abs(th[-1] - 10.0) < 0.1
@@ -125,38 +131,26 @@ class TestSimulateSaccade:
     def test_matches_rk4_oracle(self):
         # independent fine-step integration of the documented ODE
         params = DEFAULT_PARAMS
-        fine = rk4(saccade_deriv(params, 0.0, 10.0), equilibrium_state(params, 0.0).as_array(), 160.0, 0.01)
+        fine = rk4(saccade_deriv(params, 0.0, 10.0), equilibrium_state(params, 0.0), 160.0, 0.01)
         coarse = simulate_saccade(params, 0.0, 10.0)
         n = min(len(coarse), 161)
-        got = np.array([coarse[i].theta for i in range(n)])
+        got = coarse[:n, 0]
         want = fine[::100][:n, 0]
         assert np.max(np.abs(got - want)) < 5e-3
         # oracle settles fast too
         assert np.all(np.abs(fine[14000:, 0] - 10.0) < 0.1)
 
-    def test_grid_refinement_is_exact(self):
-        # exact discretization: a finer grid hits the same states at shared
-        # times, including when the pulse boundary splits a step
-        params = DEFAULT_PARAMS
-        a = simulate_saccade(params, 0.0, 10.3, dt_ms=1.0)
-        b = simulate_saccade(params, 0.0, 10.3, dt_ms=0.5)
-        n = min(len(a), (len(b) + 1) // 2)
-        for i in range(n):
-            assert a[i].theta == pytest.approx(b[2 * i].theta, abs=1e-9)
-            assert a[i].omega == pytest.approx(b[2 * i].omega, abs=1e-7)
-
     def test_main_sequence_monotone(self):
         peaks = []
         for amp in (2.0, 5.0, 10.0, 15.0, 20.0):
             traj = simulate_saccade(DEFAULT_PARAMS, 0.0, amp)
-            peaks.append(max(abs(s.omega) for s in traj))
+            peaks.append(np.abs(traj[:, 1]).max())
         assert all(b > a for a, b in zip(peaks, peaks[1:]))
 
     def test_at_most_one_overshoot_crossing(self):
         for amp in (2.0, 5.0, 10.0, 20.0, 30.0):
             traj = simulate_saccade(DEFAULT_PARAMS, 0.0, amp)
-            th = np.array([s.theta for s in traj])
-            signs = np.sign(th - amp)
+            signs = np.sign(traj[:, 0] - amp)
             signs = signs[signs != 0]
             assert np.sum(np.diff(signs) != 0) <= 1
 
@@ -173,58 +167,35 @@ class TestSimulateSaccade:
         )
         fwd = simulate_saccade(params, 2.0, 12.0)
         rev = simulate_saccade(params, -2.0, -12.0)
-        assert len(fwd) == len(rev)
-        for a, b in zip(fwd, rev):
-            assert a.theta == pytest.approx(-b.theta, abs=1e-9)
-            assert a.f_ag == pytest.approx(-b.f_ag, abs=1e-6)
-            assert a.f_ant == pytest.approx(-b.f_ant, abs=1e-6)
+        assert fwd.shape == rev.shape
+        np.testing.assert_allclose(fwd[:, 0], -rev[:, 0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fwd[:, 2:], -rev[:, 2:], rtol=0, atol=1e-6)
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
             simulate_saccade(DEFAULT_PARAMS, 0.0, 45.0)
-        with pytest.raises(ConfigError):
-            simulate_saccade(DEFAULT_PARAMS, 0.0, 10.0, dt_ms=2.0)
 
 
 class TestPlantTransition:
     def test_equilibrium_is_fixed_point(self):
-        state = equilibrium_state(DEFAULT_PARAMS, 7.0)
-        x = state
+        phi, _ = transition_matrices(DEFAULT_PARAMS)
+        x = equilibrium_state(DEFAULT_PARAMS, 7.0)
         for _ in range(1000):  # one second
-            x = plant_transition(DEFAULT_PARAMS, x)
-        assert abs(x.theta - 7.0) < 1e-9
-        assert abs(x.omega) < 1e-9
+            x = phi @ x
+        assert abs(x[0] - 7.0) < 1e-9
+        assert abs(x[1]) < 1e-9
 
     def test_composed_steps_match_fine_rk4(self):
         params = DEFAULT_PARAMS
+        phi, gamma = transition_matrices(params)
         x0 = np.array([1.0, 120.0, 900.0, -300.0])
         u = 500.0
-        state = PlantState.from_array(x0)
+        x = x0
         for _ in range(40):
-            state = plant_transition(params, state, input_level=u)
+            x = phi @ x + gamma * u
         fine = rk4(tracking_deriv(params, u), x0, 40.0, 0.01)
-        assert abs(state.theta - fine[-1, 0]) < 0.01
-        assert abs(state.theta - fine[-1, 0]) < 1e-6  # exact discretization is much tighter
-
-    def test_transition_matrix_matches_finite_differences(self):
-        params = DEFAULT_PARAMS
-        phi, gamma = transition_matrices(params, 1.0)
-        x0 = np.array([0.5, 50.0, 400.0, -100.0])
-        base = plant_transition(params, PlantState.from_array(x0)).as_array()
-        eps = 1e-4
-        for i in range(4):
-            xp = x0.copy()
-            xp[i] += eps
-            col = (plant_transition(params, PlantState.from_array(xp)).as_array() - base) / eps
-            assert np.allclose(col, phi[:, i], atol=1e-5, rtol=1e-6)
-        du = (
-            plant_transition(params, PlantState.from_array(x0), input_level=eps).as_array() - base
-        ) / eps
-        assert np.allclose(du, gamma, atol=1e-5, rtol=1e-6)
-
-    def test_nonfinite_state_rejected(self):
-        with pytest.raises(InstabilityError):
-            plant_transition(DEFAULT_PARAMS, PlantState(np.nan, 0.0, 0.0, 0.0))
+        assert abs(x[0] - fine[-1, 0]) < 0.01
+        assert abs(x[0] - fine[-1, 0]) < 1e-6  # exact discretization is much tighter
 
 
 class TestDriftNoise:
@@ -277,11 +248,21 @@ class TestCohort:
         onset = moving[0]  # first sample whose successor differs
         traj = simulate_saccade(member.params, float(x0), float(x1))
         got = rec.x[onset : onset + len(traj)] - calib_x
-        want = np.array([s.theta for s in traj])
+        want = traj[:, 0]
         n = min(len(got), len(want))
         assert np.allclose(got[:n], want[:n], atol=1e-9)
         # after settling it holds the trajectory's final position
         assert np.allclose(rec.x[onset + len(traj) :] - calib_x, want[-1], atol=1e-9)
+
+    def test_matches_stored_reference(self):
+        with np.load(COHORT_REFERENCE) as data:
+            ref = dict(data)
+        for i, member in enumerate(generate_cohort(COHORT_REFERENCE_CFG)):
+            assert np.array_equal(member.recording.x, ref[f"x{i}"])
+            assert np.array_equal(member.recording.y, ref[f"y{i}"])
+            assert np.array_equal([s.start_idx for s in member.truth], ref[f"seg_start{i}"])
+            assert np.array_equal([s.end_idx for s in member.truth], ref[f"seg_end{i}"])
+            assert np.array_equal([s.kind.value for s in member.truth], ref[f"seg_kind{i}"])
 
     def test_truth_segments_tile(self):
         cfg = SynthConfig(n_subjects=2, duration_s=5.0, rng_seed=1)

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from gazecast.errors import ConfigError, DataError, EmptyInputError, ParseError, RateError
 from gazecast.signal import (
+    CAUSAL_TAPS,
+    CENTERED_TAPS,
+    SG_POLYORDER,
+    SG_WINDOW,
     ColumnMapping,
     DiffConfig,
     GazeRecording,
@@ -69,6 +73,12 @@ class TestIngest:
             "t_ms,x_dva,y_dva\n0,1.0,1.0\noops,1.0,1.0\n",
         )
         with pytest.raises(ParseError) as exc:
+            ingest_csv(p, ColumnMapping())
+        assert exc.value.row == 3
+
+    def test_short_row_reports_line(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,1.0\n")
+        with pytest.raises(ParseError, match="fewer fields") as exc:
             ingest_csv(p, ColumnMapping())
         assert exc.value.row == 3
 
@@ -276,11 +286,19 @@ class TestVelocity:
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            DiffConfig(window=6)
-        with pytest.raises(ConfigError):
-            DiffConfig(window=7, polyorder=7)
-        with pytest.raises(ConfigError):
             DiffConfig(mode="sideways")
+
+    @pytest.mark.parametrize("mode, pos", [("centered", 3), ("causal", 6)])
+    def test_taps_equal_savgol_coeffs(self, mode, pos):
+        from scipy.signal import savgol_coeffs
+
+        want = savgol_coeffs(SG_WINDOW, SG_POLYORDER, deriv=1, pos=pos, use="dot")
+        assert np.array_equal(DiffConfig(mode=mode).derivative_coeffs(), want)
+
+    @pytest.mark.parametrize("taps", [CENTERED_TAPS, CAUSAL_TAPS])
+    def test_taps_read_only(self, taps):
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
 
     def test_centered_noise_gain(self):
         # window 7 order 2 centered derivative taps are k/28, so the white-noise
