@@ -156,7 +156,7 @@ def _tracking_step(params: PlantParams):
     aug = np.zeros((5, 5))
     aug[:4, :4] = a
     aug[:4, 4] = b_unit
-    m = expm(aug * (1.0 / 1000.0))
+    m = expm(aug * 1e-3)  # 1 ms in seconds
     return m[:4, :4].copy(), m[:4, 4].copy()
 
 
@@ -207,8 +207,8 @@ def simulate_saccade(params: PlantParams, start_dva: float, target_dva: float) -
     phi_pulse, c_pulse = phase(True, 1.0)
     phi_step, c_step = phase(False, 1.0)
     if split:
-        phi_head, c_head = phase(True, round(width_ms - float(n_pulse), 9))
-        phi_tail, c_tail = phase(False, round(float(n_pulse + 1) - width_ms, 9))
+        phi_head, c_head = phase(True, round(width_ms - n_pulse, 9))
+        phi_tail, c_tail = phase(False, round(n_pulse + 1 - width_ms, 9))
 
     traj = np.empty((SIMULATION_CAP_MS + 1, 4))
     traj[0] = equilibrium_state(params, start_dva)
