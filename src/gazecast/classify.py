@@ -11,6 +11,11 @@ That pass looks ahead, since a seed's extent depends on later samples.
 ``causal_saccade_mask`` is the online counterpart the OPKF switches its
 regime on: a hysteresis between the same two thresholds whose flag at
 sample t depends only on samples <= t.
+
+Both passes read the same module constants: a seed needs a velocity above
+100 dva/s and grows while it stays at or above 20 dva/s; a grown run is a
+saccade if it lasts 6 to 150 ms and Other otherwise; a fixation needs at
+least 40 ms. A saccade of 10 dva or more is "large".
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, InsufficientDataError
 from .signal import GazeRecording, VelocityTrace
 
-SMALL_LARGE_SPLIT_DVA = 10.0
+PEAK_THRESHOLD = 100.0  # dva/s
+ONSET_OFFSET_THRESHOLD = 20.0  # dva/s
+MIN_SACCADE_MS = 6
+MAX_SACCADE_MS = 150
+MIN_FIXATION_MS = 40
+SMALL_LARGE_SPLIT_DVA = 10.0  # a saccade at least this large is "large"
 
 
 class EventKind(str, Enum):
@@ -39,7 +49,6 @@ class SaccadeProps:
     duration_ms: int
     peak_vel: float
     mean_vel: float
-    sample_count: int
 
 
 # per-sample label codes: classify_events labels samples in these before it
@@ -63,26 +72,6 @@ class EventSegment:
     @property
     def n_samples(self) -> int:
         return self.end_idx - self.start_idx + 1
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    peak_threshold: float = 100.0
-    onset_offset_threshold: float = 20.0
-    min_saccade_ms: int = 6
-    min_fixation_ms: int = 40
-    max_saccade_ms: int = 150
-
-    def __post_init__(self):
-        if not self.peak_threshold > self.onset_offset_threshold > 0:
-            raise ConfigError(
-                "thresholds must satisfy peak > onset/offset > 0, got "
-                f"{self.peak_threshold} / {self.onset_offset_threshold}"
-            )
-        if self.min_saccade_ms < 1 or self.min_fixation_ms < 1:
-            raise ConfigError("minimum durations must be >= 1 ms")
-        if self.max_saccade_ms < self.min_saccade_ms:
-            raise ConfigError("max_saccade_ms must be >= min_saccade_ms")
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -118,17 +107,12 @@ def segments_from_labels(
                 duration_ms=int(e - s + 1),
                 peak_vel=float(np.max(seg_v)),
                 mean_vel=float(np.mean(seg_v)),
-                sample_count=int(e - s + 1),
             )
         segments.append(EventSegment(kind=kind, start_idx=int(s), end_idx=int(e), props=props))
     return segments
 
 
-def classify_events(
-    rec: GazeRecording,
-    vel: VelocityTrace,
-    cfg: ClassifierConfig = ClassifierConfig(),
-) -> list[EventSegment]:
+def classify_events(rec: GazeRecording, vel: VelocityTrace) -> list[EventSegment]:
     """Segment a recording into Fixation / Saccade / Blink / Other."""
     n = rec.n_samples
     if len(vel.v_radial) != n:
@@ -138,38 +122,33 @@ def classify_events(
     labels[~rec.valid] = BLINK
 
     v = vel.v_radial
-    seeds = vel.valid & (v > cfg.peak_threshold)
-    grow = vel.valid & (v >= cfg.onset_offset_threshold)
+    seeds = vel.valid & (v > PEAK_THRESHOLD)
+    grow = vel.valid & (v >= ONSET_OFFSET_THRESHOLD)
 
     for start, end in _runs(grow):
         if not seeds[start : end + 1].any():
             continue
         dur = end - start + 1
-        labels[start : end + 1] = SACCADE if cfg.min_saccade_ms <= dur <= cfg.max_saccade_ms else OTHER
+        labels[start : end + 1] = SACCADE if MIN_SACCADE_MS <= dur <= MAX_SACCADE_MS else OTHER
 
     for start, end in _runs(labels == UNLABELED):
         dur = end - start + 1
-        labels[start : end + 1] = FIXATION if dur >= cfg.min_fixation_ms else OTHER
+        labels[start : end + 1] = FIXATION if dur >= MIN_FIXATION_MS else OTHER
 
     return segments_from_labels(labels, rec.x, rec.y, v)
-
-
-def saccade_class(amplitude_dva: float) -> str:
-    """Amplitude split used throughout the evaluation: >= 10 dva is 'large'."""
-    return "large" if amplitude_dva >= SMALL_LARGE_SPLIT_DVA else "small"
 
 
 def event_labels(segs: list[EventSegment], n: int) -> np.ndarray:
     """Per-sample int8 label codes expanded from segments.
 
-    A saccade whose amplitude ``saccade_class`` calls "large" is
+    A saccade whose amplitude is at least SMALL_LARGE_SPLIT_DVA is
     LARGE_SACCADE; other saccades, including any without props, are SACCADE.
     Samples that no segment covers stay UNLABELED.
     """
     out = np.full(n, UNLABELED, dtype=np.int8)
     for seg in segs:
         code = _CODE_OF[seg.kind]
-        if seg.props is not None and code == SACCADE and saccade_class(seg.props.amplitude_dva) == "large":
+        if seg.props is not None and code == SACCADE and seg.props.amplitude_dva >= SMALL_LARGE_SPLIT_DVA:
             code = LARGE_SACCADE
         out[seg.start_idx : seg.end_idx + 1] = code
     return out
@@ -192,9 +171,7 @@ def fixation_noise_threshold(
     return quantile(values, 0.9)
 
 
-def causal_saccade_mask(
-    rec: GazeRecording, vel: VelocityTrace, cfg: ClassifierConfig = ClassifierConfig()
-) -> np.ndarray:
+def causal_saccade_mask(rec: GazeRecording, vel: VelocityTrace) -> np.ndarray:
     """Per-sample saccade flags of an online hysteresis labeler.
 
     A sample whose velocity is above the peak threshold switches the
@@ -211,8 +188,8 @@ def causal_saccade_mask(
     if vel.cfg.mode != "causal":
         raise ConfigError(f"the online labeler needs a causal velocity trace, got mode {vel.cfg.mode!r}")
     v = vel.v_radial
-    on = rec.valid & vel.valid & (v > cfg.peak_threshold)
-    off = ~rec.valid | (vel.valid & (v < cfg.onset_offset_threshold))
+    on = rec.valid & vel.valid & (v > PEAK_THRESHOLD)
+    off = ~rec.valid | (vel.valid & (v < ONSET_OFFSET_THRESHOLD))
     latest = np.maximum.accumulate(np.where(on | off, np.arange(n), -1))
     return (latest >= 0) & on[latest]
 

@@ -8,7 +8,7 @@ from a classified recording and are deterministic given (rec, segs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,9 +41,9 @@ def _saccade_segs(segs: list[EventSegment]) -> list[EventSegment]:
 
 
 def pk_vel_dur_ratio_r_md(segs: list[EventSegment]) -> float:
-    """Median across saccades of peak radial velocity / sample count."""
+    """Median across saccades of peak radial velocity / duration in ms."""
     sacc = _saccade_segs(segs)
-    return quantile([s.props.peak_vel / s.props.sample_count for s in sacc], 0.5)
+    return quantile([s.props.peak_vel / s.props.duration_ms for s in sacc], 0.5)
 
 
 def mn_vel_r_md(segs: list[EventSegment]) -> float:
@@ -120,12 +120,5 @@ def subject_features(
     )
 
 
-FEATURE_COLUMNS = [
-    "subject_id",
-    "fix_noise_thr",
-    "pk_vel_dur_ratio_r_md",
-    "mn_vel_r_md",
-    "accuracy_dva",
-    "precision_dva",
-]
+FEATURE_COLUMNS = [f.name for f in fields(SubjectFeatures)]
 

@@ -514,20 +514,6 @@ def lstm_train(model: LstmModel, windows, cfg: TrainConfig = TrainConfig(), val_
     return TrainResult(history=tuple(history), best_epoch=best_epoch)
 
 
-def split_subjects(subject_ids, holdout_fraction: float = 0.1, rng_seed: int = 0):
-    """Disjoint (train, holdout) subject id split; both sides non-empty."""
-    unique = sorted(set(subject_ids))
-    if len(unique) < 2:
-        raise ConfigError("need at least two subjects to split")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ConfigError("holdout_fraction must be in (0, 1)")
-    order = np.random.default_rng(rng_seed).permutation(len(unique))
-    n_hold = min(max(1, round(len(unique) * holdout_fraction)), len(unique) - 1)
-    held = {unique[i] for i in order[:n_hold]}
-    train = tuple(s for s in unique if s not in held)
-    return train, tuple(sorted(held))
-
-
 # ---------------------------------------------------------------------------
 # recording-level prediction
 

@@ -4,8 +4,8 @@ The first half of this module is small, self-contained statistics
 (quantiles, Spearman correlation, Bonferroni flags, Kendall's W) written
 directly from their defining formulas. The second half scores prediction
 runs against ground truth into a two-column table (target sample, error)
-and aggregates those errors per event class, subject, and saccade phase;
-event classes come from the segments, expanded once per call.
+and aggregates those errors per event class and subject; event classes
+come from the segments, expanded once per call.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .errors import (
     InsufficientDataError,
     UndefinedStatisticError,
 )
+
+ALPHA = 0.05  # family-wise significance level of the Bonferroni correction
+MIN_RECORDS = 30  # errors a subject needs in a class to enter subject_stats
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +98,8 @@ def spearman(x, y) -> tuple[float, float]:
     return r, p
 
 
-def bonferroni(p_values, alpha: float = 0.05, family_size: int | None = None) -> list[bool]:
-    """Per-test significance flags at the alpha/m Bonferroni threshold.
+def bonferroni(p_values, family_size: int | None = None) -> list[bool]:
+    """Per-test significance flags at the ALPHA/m Bonferroni threshold.
 
     ``family_size`` lets the caller correct over a family larger than the
     p-values actually supplied; by default m = len(p_values).
@@ -107,7 +110,7 @@ def bonferroni(p_values, alpha: float = 0.05, family_size: int | None = None) ->
     m = family_size if family_size is not None else len(p)
     if m < 1:
         raise ConfigError(f"family size must be >= 1, got {m}")
-    thr = alpha / m
+    thr = ALPHA / m
     return [pi < thr for pi in p]
 
 
@@ -140,16 +143,6 @@ def kendall_w(scores) -> float:
     if denom <= 0:
         raise UndefinedStatisticError("concordance undefined: ties exhaust all variance")
     return 12.0 * s / denom
-
-
-def cdf_curve(errors, grid) -> np.ndarray:
-    """Proportion of errors <= each grid level."""
-    e = np.asarray(errors, dtype=float)
-    if e.size == 0:
-        raise InsufficientDataError("cdf of empty errors")
-    g = np.asarray(grid, dtype=float)
-    e = np.sort(e)
-    return np.searchsorted(e, g, side="right") / e.size
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +267,6 @@ def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, n
     }
 
 
-def saccade_progress_curve(
-    scored: ScoredRun,
-    segs: Sequence[EventSegment],
-    n_bins: int = 10,
-    amp_range: tuple[float, float] = (10.0, 20.0),
-) -> np.ndarray:
-    """Median error per normalized-saccade-time bin, amplitude-gated.
-
-    Each row inside a qualifying saccade maps to progress
-    (idx - start) / (duration - 1) in [0, 1]; empty bins come back NaN.
-    """
-    if n_bins < 2:
-        raise ConfigError(f"need at least 2 bins, got {n_bins}")
-    lo, hi = amp_range
-    spans = [
-        (s.start_idx, s.end_idx)
-        for s in segs
-        if s.kind == EventKind.SACCADE and lo <= s.props.amplitude_dva <= hi
-    ]
-    if len(spans) < 5:
-        raise InsufficientDataError(
-            f"need >= 5 saccades with amplitude in [{lo}, {hi}], got {len(spans)}"
-        )
-    starts = np.array([a for a, _ in spans])
-    ends = np.array([b for _, b in spans])
-    idx = scored.sample_idx
-    k = np.searchsorted(starts, idx, side="right") - 1
-    inside = (k >= 0) & (idx <= ends[k])
-    k, idx, err = k[inside], idx[inside], scored.error_dva[inside]
-    # a one-sample saccade has duration 0 and its only sample progress 0
-    progress = (idx - starts[k]) / np.maximum(ends[k] - starts[k], 1)
-    bins = np.minimum((progress * n_bins).astype(int), n_bins - 1)
-    medians = [np.median(err[bins == b]) if np.any(bins == b) else np.nan for b in range(n_bins)]
-    return np.array(medians, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # cohort aggregation
 
@@ -334,22 +291,18 @@ class SubjectStats:
     cohort_iqr: float
 
 
-def subject_stats(
-    per_subject_errors: Mapping[str, Sequence[float]],
-    event_class: str,
-    min_records: int = 30,
-) -> SubjectStats:
+def subject_stats(per_subject_errors: Mapping[str, Sequence[float]], event_class: str) -> SubjectStats:
     """Cohort statistics over per-subject medians for one event class.
 
-    Subjects with fewer than ``min_records`` errors in the class are
-    dropped; at least one subject must survive.
+    Subjects with fewer than MIN_RECORDS errors in the class are dropped;
+    at least one subject must survive.
     """
     if event_class not in EVENT_CLASSES:
         raise ConfigError(f"unknown event class {event_class!r}, expected one of {EVENT_CLASSES}")
     ids, meds, iqrs_, mins_, maxs_ = [], [], [], [], []
     for sid in sorted(per_subject_errors):
         e = np.asarray(per_subject_errors[sid], dtype=float)
-        if e.size < min_records:
+        if e.size < MIN_RECORDS:
             continue
         ids.append(sid)
         meds.append(quantile(e, 0.5))
@@ -358,7 +311,7 @@ def subject_stats(
         maxs_.append(float(e.max()))
     if not ids:
         raise InsufficientDataError(
-            f"no subject has >= {min_records} records in class {event_class!r}"
+            f"no subject has >= {MIN_RECORDS} records in class {event_class!r}"
         )
     mn, mx = min(meds), max(meds)
     return SubjectStats(
@@ -389,7 +342,6 @@ def correlate_features(
     features: Mapping[str, Sequence[float]],
     medians: Mapping[str, Sequence[float]],
     event_class: str,
-    alpha: float = 0.05,
     family_size: int | None = None,
 ) -> list[CorrelationResult]:
     """Spearman of every (feature, model) pair with family-wise Bonferroni.
@@ -413,7 +365,7 @@ def correlate_features(
         r, p = spearman(features[f], medians[m])
         rs.append(r)
         ps.append(p)
-    flags = bonferroni(ps, alpha=alpha, family_size=family_size or len(pairs))
+    flags = bonferroni(ps, family_size=family_size or len(pairs))
     return [
         CorrelationResult(f, m, event_class, r, p, bool(sig))
         for (f, m), r, p, sig in zip(pairs, rs, ps, flags)

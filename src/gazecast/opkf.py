@@ -276,8 +276,7 @@ class OpkfConfig:
 
     The noise is ``Q_FIXATION``, ``Q_SACCADE`` and ``MEASUREMENT_NOISE``,
     the regime is ``classify.causal_saccade_mask`` at the classifier's
-    default thresholds, and the prediction intervals are arguments of the
-    calls.
+    thresholds, and the prediction intervals are arguments of the calls.
     """
 
     params: PlantParams = DEFAULT_PARAMS
@@ -439,6 +438,8 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
 # ---------------------------------------------------------------------------
 # Nelder-Mead
 
+NM_SIZE_TOL = 1e-6  # relative simplex size at which the search has converged
+
 
 class _BudgetSpent(Exception):
     """Raised in place of an evaluation past the budget."""
@@ -452,15 +453,10 @@ class NMResult:
     converged: bool
 
 
-def nelder_mead(
-    objective,
-    x0,
-    max_evals: int | None = None,
-    size_tol: float = 1e-6,
-) -> NMResult:
+def nelder_mead(objective, x0, max_evals: int | None = None) -> NMResult:
     """Downhill simplex: reflect / expand / contract / shrink.
 
-    Stops when the simplex's relative size drops below size_tol or the
+    Stops when the simplex's relative size drops below NM_SIZE_TOL or the
     evaluation budget (default 500 per dimension) runs out. The budget is a
     hard cap on objective calls, and must cover the first simplex. Always
     returns the best vertex seen. Vertices where the objective is non-finite
@@ -507,7 +503,7 @@ def nelder_mead(
             fvals = fvals[order]
             best = simplex[0]
             size = np.max(np.abs(simplex[1:] - best)) / max(1.0, np.max(np.abs(best)))
-            if size < size_tol:
+            if size < NM_SIZE_TOL:
                 converged = True
                 break
             centroid = simplex[:-1].mean(axis=0)

@@ -48,7 +48,7 @@ from .signal import GazeRecording, recording_from_arrays
 
 SETTLE_SUSTAIN_MS = 20  # whole ms: the simulator's grid is 1 ms
 SIMULATION_CAP_MS = 400
-TRUTH_VELOCITY_THRESHOLD = 20.0  # dva/s; matches the classifier's onset/offset default
+TRUTH_VELOCITY_THRESHOLD = 20.0  # dva/s; equals classify.ONSET_OFFSET_THRESHOLD
 MIN_TARGET_STEP_DVA = 5.0
 
 
@@ -237,29 +237,35 @@ def simulate_saccade(params: PlantParams, start_dva: float, target_dva: float) -
 # synthetic cohort
 
 
+# the cohort protocol: targets, response latency and fixation noise
+TARGET_RANGE_H_DVA = 8.0
+TARGET_RANGE_V_DVA = 5.0
+LATENCY_MS = 200.0
+LATENCY_JITTER_MS = 30.0
+NOISE_SIGMA_LO = 0.05
+NOISE_SIGMA_HI = 0.8
+DRIFT_CORNER_HZ = 3.0
+WHITE_FRACTION = 0.05  # white noise std as a fraction of the drift sigma
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Random-saccade cohort settings.
 
-    Targets step to a uniform random point every second inside the
-    horizontal/vertical ranges; each step triggers a plant-simulated saccade
-    after a jittered response latency. Per-subject fixation noise sigma is
-    spread geometrically across [noise_sigma_lo, noise_sigma_hi] unless an
-    explicit list is given. Output is deterministic for a fixed seed.
+    Targets step every second to a uniform random point within +/-8 dva
+    horizontally and +/-5 dva vertically, redrawn (up to 100 times) while
+    within 5 dva of the previous one. Each step triggers a plant-simulated
+    saccade after a response latency drawn uniformly from 200 +/- 30 ms.
+    Fixation noise is 3 Hz band-limited drift of std sigma plus white noise
+    of std 0.05 * sigma. Per-subject sigma is spread geometrically across
+    [0.05, 0.8] dva unless ``noise_sigma_per_subject`` lists one per
+    subject. Those protocol values are the module constants above; output
+    is deterministic for a fixed seed.
     """
 
     n_subjects: int = 30
     duration_s: float = 12.0
-    target_range_h: float = 8.0
-    target_range_v: float = 5.0
-    latency_ms: float = 200.0
-    latency_jitter_ms: float = 30.0
-    noise_sigma_lo: float = 0.05
-    noise_sigma_hi: float = 0.8
     noise_sigma_per_subject: tuple[float, ...] | None = None
-    speed_factor_per_subject: tuple[float, ...] | None = None
-    drift_corner_hz: float = 3.0
-    white_fraction: float = 0.05
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -272,21 +278,13 @@ class SynthConfig:
                 raise ConfigError("noise_sigma_per_subject length must equal n_subjects")
             if any(s < 0 for s in self.noise_sigma_per_subject):
                 raise ConfigError("noise sigmas must be >= 0")
-        elif not 0 <= self.noise_sigma_lo <= self.noise_sigma_hi:
-            raise ConfigError("need 0 <= noise_sigma_lo <= noise_sigma_hi")
-        if self.speed_factor_per_subject is not None:
-            if len(self.speed_factor_per_subject) != self.n_subjects:
-                raise ConfigError("speed_factor_per_subject length must equal n_subjects")
-            if any(not 0.5 <= f <= 1.5 for f in self.speed_factor_per_subject):
-                raise ConfigError("speed factors must lie in [0.5, 1.5]")
 
     def subject_sigmas(self) -> np.ndarray:
         if self.noise_sigma_per_subject is not None:
             return np.asarray(self.noise_sigma_per_subject, dtype=float)
         if self.n_subjects == 1:
-            return np.array([self.noise_sigma_hi])
-        lo = max(self.noise_sigma_lo, 1e-6)
-        return np.geomspace(lo, max(self.noise_sigma_hi, lo), self.n_subjects)
+            return np.array([NOISE_SIGMA_HI])
+        return np.geomspace(NOISE_SIGMA_LO, NOISE_SIGMA_HI, self.n_subjects)
 
 
 @dataclass(frozen=True)
@@ -343,15 +341,15 @@ def drift_noise(rng: np.random.Generator, n: int, sigma: float, corner_hz: float
     return np.array(y) * (sigma / np.sqrt(var2))
 
 
-def _draw_targets(rng: np.random.Generator, cfg: SynthConfig, count: int) -> np.ndarray:
+def _draw_targets(rng: np.random.Generator, count: int) -> np.ndarray:
     pts = np.empty((count, 2))
     prev = None
     for i in range(count):
         for _ in range(100):
             cand = np.array(
                 [
-                    rng.uniform(-cfg.target_range_h, cfg.target_range_h),
-                    rng.uniform(-cfg.target_range_v, cfg.target_range_v),
+                    rng.uniform(-TARGET_RANGE_H_DVA, TARGET_RANGE_H_DVA),
+                    rng.uniform(-TARGET_RANGE_V_DVA, TARGET_RANGE_V_DVA),
                 ]
             )
             if prev is None or np.hypot(*(cand - prev)) >= MIN_TARGET_STEP_DVA:
@@ -363,16 +361,15 @@ def _draw_targets(rng: np.random.Generator, cfg: SynthConfig, count: int) -> np.
 
 def _simulate_subject(
     rng: np.random.Generator,
-    cfg: SynthConfig,
+    n: int,
     params: PlantParams,
     sigma: float,
     subject_id: str,
     targets: np.ndarray,
 ) -> CohortMember:
-    n = int(round(cfg.duration_s * 1000))
     target_times = np.arange(0, n, 1000)
     latencies = rng.uniform(
-        cfg.latency_ms - cfg.latency_jitter_ms, cfg.latency_ms + cfg.latency_jitter_ms, len(target_times)
+        LATENCY_MS - LATENCY_JITTER_MS, LATENCY_MS + LATENCY_JITTER_MS, len(target_times)
     )
     calib_offset = rng.uniform(-0.5, 0.5, size=2)
 
@@ -420,9 +417,9 @@ def _simulate_subject(
 
     truth = segments_from_labels(labels, x, y, v_true)
 
-    white = cfg.white_fraction * sigma
-    gx = x + calib_offset[0] + drift_noise(rng, n, sigma, cfg.drift_corner_hz)
-    gy = y + calib_offset[1] + drift_noise(rng, n, sigma, cfg.drift_corner_hz)
+    white = WHITE_FRACTION * sigma
+    gx = x + calib_offset[0] + drift_noise(rng, n, sigma, DRIFT_CORNER_HZ)
+    gy = y + calib_offset[1] + drift_noise(rng, n, sigma, DRIFT_CORNER_HZ)
     if white > 0:
         gx = gx + rng.normal(0.0, white, n)
         gy = gy + rng.normal(0.0, white, n)
@@ -440,8 +437,8 @@ def generate_cohort(cfg: SynthConfig, param_sampler=default_param_sampler) -> li
     offset, noise, and plant parameters vary per subject.
     """
     protocol, *streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_subjects + 1)
-    n_steps = len(np.arange(0, int(round(cfg.duration_s * 1000)), 1000))
-    targets = _draw_targets(np.random.default_rng(protocol), cfg, n_steps)
+    n = int(round(cfg.duration_s * 1000))
+    targets = _draw_targets(np.random.default_rng(protocol), len(np.arange(0, n, 1000)))
     sigmas = cfg.subject_sigmas()
     members = []
     for i, (ss, sigma) in enumerate(zip(streams, sigmas)):
@@ -449,14 +446,6 @@ def generate_cohort(cfg: SynthConfig, param_sampler=default_param_sampler) -> li
         params = None
         for attempt in range(10):
             cand = param_sampler(rng)
-            if cfg.speed_factor_per_subject is not None:
-                # controlled speed ladder: pin the pulse-height axis, keep
-                # the sampler's timing and damping jitter
-                cand = replace(
-                    cand,
-                    pulse_height_coeff=DEFAULT_PARAMS.pulse_height_coeff
-                    * cfg.speed_factor_per_subject[i],
-                )
             try:
                 simulate_saccade(cand, 0.0, 10.0)
             except InstabilityError:
@@ -465,5 +454,5 @@ def generate_cohort(cfg: SynthConfig, param_sampler=default_param_sampler) -> li
             break
         if params is None:
             raise FitError(f"no stable plant parameters after 10 draws for subject {i}")
-        members.append(_simulate_subject(rng, cfg, params, float(sigma), f"S{i + 1:03d}", targets))
+        members.append(_simulate_subject(rng, n, params, float(sigma), f"S{i + 1:03d}", targets))
     return members

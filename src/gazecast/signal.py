@@ -26,7 +26,6 @@ from .errors import (
     RateError,
 )
 
-RATE_HZ = 1000
 SG_WINDOW = 7
 SG_POLYORDER = 2
 
@@ -76,11 +75,8 @@ class GazeRecording:
     y: np.ndarray
     valid: np.ndarray
     targets: np.ndarray | None = None
-    rate_hz: int = RATE_HZ
 
     def __post_init__(self):
-        if self.rate_hz != RATE_HZ:
-            raise RateError(f"only {RATE_HZ} Hz recordings are supported, got {self.rate_hz}")
         n = len(self.t_ms)
         if n == 0:
             raise EmptyInputError("recording has no samples")
@@ -206,7 +202,9 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
             if col is not None and col not in reader.fieldnames:
                 raise ParseError(f"{path}: missing column {col!r}", row=1)
         for rownum, row in enumerate(reader, start=2):
-            if None in row.values():  # DictReader fills a short row's missing fields with None
+            if None in row:  # DictReader keeps a long row's extra fields under the key None
+                raise ParseError(f"{path}: row has more fields than the header", row=rownum)
+            if None in row.values():  # and fills a short row's missing fields with None
                 raise ParseError(f"{path}: row has fewer fields than the header", row=rownum)
             raw_t = row[mapping.timestamp]
             if raw_t.strip() == "":
@@ -295,7 +293,6 @@ def recording_from_arrays(
     valid: Sequence[bool] | None = None,
     targets: np.ndarray | None = None,
     session_id: str = "S1",
-    t0_ms: int = 0,
 ) -> GazeRecording:
     """Convenience constructor used by the generator and by tests."""
     x = np.asarray(x, dtype=float)
@@ -306,11 +303,10 @@ def recording_from_arrays(
         valid_arr = np.asarray(valid, dtype=bool)
     x = np.where(valid_arr, x, np.nan)
     y = np.where(valid_arr, y, np.nan)
-    t = t0_ms + np.arange(len(x), dtype=np.int64)
     return GazeRecording(
         subject_id=subject_id,
         session_id=session_id,
-        t_ms=t,
+        t_ms=np.arange(len(x), dtype=np.int64),
         x=x,
         y=y,
         valid=valid_arr,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gazecast import learned as L
-from gazecast.classify import ClassifierConfig
+from gazecast.classify import ONSET_OFFSET_THRESHOLD, PEAK_THRESHOLD
 
 
 def kink_free_lstm_fixture(seed: int = 11, margin: float = 1.5e-3):
@@ -39,7 +39,7 @@ def kink_free_lstm_fixture(seed: int = 11, margin: float = 1.5e-3):
     return model, xs, ys
 
 
-def hysteresis_loop(v, vel_ok, sample_ok, cfg: ClassifierConfig = ClassifierConfig()):
+def hysteresis_loop(v, vel_ok, sample_ok):
     """Saccade flags of the online labeler, one sample at a time.
 
     The reference for ``classify.causal_saccade_mask``: an invalid sample
@@ -54,9 +54,9 @@ def hysteresis_loop(v, vel_ok, sample_ok, cfg: ClassifierConfig = ClassifierConf
             in_saccade = False
         elif v_valid:
             if in_saccade:
-                if v_r < cfg.onset_offset_threshold:
+                if v_r < ONSET_OFFSET_THRESHOLD:
                     in_saccade = False
-            elif v_r > cfg.peak_threshold:
+            elif v_r > PEAK_THRESHOLD:
                 in_saccade = True
         out.append(in_saccade)
     return np.array(out, dtype=bool)

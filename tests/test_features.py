@@ -22,7 +22,6 @@ def sacc_seg(start, peak, mean, count):
             duration_ms=count,
             peak_vel=peak,
             mean_vel=mean,
-            sample_count=count,
         ),
     )
 

@@ -344,25 +344,6 @@ class TestTraining:
         assert err.max() <= 0.02
 
 
-class TestSplitSubjects:
-    def test_disjoint_and_covering(self):
-        ids = [f"S{i:03d}" for i in range(30)]
-        train, held = L.split_subjects(ids, holdout_fraction=0.1, rng_seed=4)
-        assert set(train) & set(held) == set()
-        assert sorted(train + held) == sorted(ids)
-        assert len(held) == 3
-
-    def test_both_sides_nonempty(self):
-        train, held = L.split_subjects(["a", "b"], holdout_fraction=0.01, rng_seed=0)
-        assert len(train) == 1 and len(held) == 1
-
-    def test_errors(self):
-        with pytest.raises(ConfigError):
-            L.split_subjects(["only"], 0.1)
-        with pytest.raises(ConfigError):
-            L.split_subjects(["a", "b"], 0.0)
-
-
 class TestBaselines:
     def test_constant_position_on_static_fixation(self):
         n = 500

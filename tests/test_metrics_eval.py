@@ -20,10 +20,7 @@ from gazecast.signal import compute_velocity, recording_from_arrays
 
 
 def sacc_props(amp, dur=20):
-    return SaccadeProps(
-        amplitude_dva=amp, duration_ms=dur, peak_vel=40.0 * amp, mean_vel=20.0 * amp,
-        sample_count=dur,
-    )
+    return SaccadeProps(amplitude_dva=amp, duration_ms=dur, peak_vel=40.0 * amp, mean_vel=20.0 * amp)
 
 
 def three_part_segs(n=300, sac=(150, 169), amp=12.0):
@@ -295,62 +292,6 @@ class TestClassErrors:
     def test_record_outside_segments(self, idx, segs):
         with pytest.raises(AlignmentError, match="outside"):
             M.class_errors(scored({idx: 0.1}), segs)
-
-
-class TestSaccadeProgressCurve:
-    def qualifying_segs(self, n_sacc=5, dur=11, gap=200, amp=15.0):
-        segs = []
-        pos = 0
-        for k in range(n_sacc):
-            segs.append(EventSegment(EventKind.FIXATION, pos, pos + gap - 1))
-            pos += gap
-            segs.append(
-                EventSegment(EventKind.SACCADE, pos, pos + dur - 1, sacc_props(amp, dur))
-            )
-            pos += dur
-        segs.append(EventSegment(EventKind.FIXATION, pos, pos + gap - 1))
-        return segs
-
-    def test_linear_normalization_eleven_samples(self):
-        segs = self.qualifying_segs(dur=11)
-        sacc = [s for s in segs if s.kind is EventKind.SACCADE][0]
-        # errors 0..10 land one per bin: bin k collects error k (except last two)
-        errors = {sacc.start_idx + j: float(j) for j in range(11)}
-        curve = M.saccade_progress_curve(scored(errors), segs)
-        # progress j/10 -> bins 0..9, with progress 1.0 clamped into bin 9
-        assert curve[:9].tolist() == [float(j) for j in range(9)]
-        assert curve[9] == pytest.approx(9.5)  # samples 9 and 10 share the last bin
-
-    def test_constant_error_flat_curve(self):
-        segs = self.qualifying_segs(dur=21)
-        errors = {}
-        for s in segs:
-            if s.kind is EventKind.SACCADE:
-                for j in range(s.start_idx, s.end_idx + 1):
-                    errors[j] = 2.5
-        curve = M.saccade_progress_curve(scored(errors), segs)
-        assert np.allclose(curve, 2.5)
-
-    def test_amplitude_filter_and_minimum(self):
-        segs = self.qualifying_segs(n_sacc=5, amp=5.0)  # all below [10, 20]
-        with pytest.raises(InsufficientDataError):
-            M.saccade_progress_curve(scored({}), segs)
-
-    def test_out_of_saccade_records_ignored(self):
-        segs = self.qualifying_segs(dur=21)
-        errors = {}
-        for s in segs:
-            if s.kind is EventKind.SACCADE:
-                for j in range(s.start_idx, s.end_idx + 1):
-                    errors[j] = 1.0
-        errors[10] = 99.0
-        curve = M.saccade_progress_curve(scored(errors), segs)
-        assert np.allclose(curve, 1.0)
-
-    def test_bad_bins(self):
-        segs = self.qualifying_segs()
-        with pytest.raises(ConfigError):
-            M.saccade_progress_curve(scored({}), segs, n_bins=1)
 
 
 class TestSubjectStats:

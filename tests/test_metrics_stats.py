@@ -13,7 +13,6 @@ from gazecast.errors import (
 )
 from gazecast.metrics import (
     bonferroni,
-    cdf_curve,
     iqr,
     kendall_w,
     quantile,
@@ -221,36 +220,3 @@ class TestKendallW:
         for _ in range(50):
             w = kendall_w(rng.normal(size=(3, 5)))
             assert 0.0 <= w <= 1.0
-
-
-class TestCdfCurve:
-    def test_simple_fraction(self):
-        assert cdf_curve([1, 2, 3], [2]) == pytest.approx([2 / 3])
-
-    def test_grid_below_min(self):
-        assert cdf_curve([1, 2, 3], [0.5]) == pytest.approx([0.0])
-
-    def test_counting_oracle(self):
-        rng = np.random.default_rng(12)
-        errors = rng.exponential(size=10_000)
-        grid = np.linspace(0, errors.max(), 100)
-        got = cdf_curve(errors, grid)
-        brute = np.array([(errors <= g).sum() / errors.size for g in grid])
-        assert np.array_equal(got, brute)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            cdf_curve([], [1.0])
-
-    @given(
-        st.lists(st.floats(0, 100), min_size=1, max_size=200),
-        st.lists(st.floats(-10, 110), min_size=1, max_size=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_and_bounded(self, errors, grid):
-        grid = sorted(grid)
-        c = cdf_curve(errors, grid)
-        assert np.all((0.0 <= c) & (c <= 1.0))
-        assert np.all(np.diff(c) >= 0)
-        if max(grid, default=-1) >= max(errors):
-            assert c[-1] == 1.0

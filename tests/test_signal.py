@@ -82,6 +82,12 @@ class TestIngest:
             ingest_csv(p, ColumnMapping())
         assert exc.value.row == 3
 
+    def test_long_row_reports_line(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,2.0,2.0,99\n")
+        with pytest.raises(ParseError, match="more fields") as exc:
+            ingest_csv(p, ColumnMapping())
+        assert exc.value.row == 3
+
     def test_missing_column(self, tmp_path):
         p = write_csv(tmp_path / "r.csv", "t_ms,x_dva\n0,1.0\n")
         with pytest.raises(ParseError):
@@ -187,18 +193,6 @@ class TestRecordingInvariants:
         valid = np.ones(50, dtype=bool)
         valid[17] = False
         assert recording_from_arrays("s", x, np.zeros(50), valid=valid).n_valid == 49
-
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(RateError):
-            GazeRecording(
-                subject_id="s",
-                session_id="",
-                t_ms=np.array([0]),
-                x=np.zeros(1),
-                y=np.zeros(1),
-                valid=np.ones(1, dtype=bool),
-                rate_hz=500,
-            )
 
 
 class TestVelocity:
