@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, InsufficientDataError
+from .errors import AlignmentError, ConfigError
 from .signal import GazeRecording, VelocityTrace
 
 PEAK_THRESHOLD = 100.0  # dva/s
@@ -152,23 +152,6 @@ def event_labels(segs: list[EventSegment], n: int) -> np.ndarray:
             code = LARGE_SACCADE
         out[seg.start_idx : seg.end_idx + 1] = code
     return out
-
-
-def fixation_noise_threshold(
-    rec: GazeRecording, vel: VelocityTrace, segs: list[EventSegment]
-) -> float:
-    """90th percentile of radial velocity over valid fixation samples."""
-    n = rec.n_samples
-    if len(vel.v_radial) != n:
-        raise AlignmentError("velocity trace misaligned with recording")
-    values = vel.v_radial[(event_labels(segs, n) == FIXATION) & vel.valid]
-    if values.size < 100:
-        raise InsufficientDataError(
-            f"need >= 100 valid fixation samples for the noise threshold, got {values.size}"
-        )
-    from .metrics import quantile  # deferred: metrics consumes this module's segments
-
-    return quantile(values, 0.9)
 
 
 def causal_saccade_mask(rec: GazeRecording, vel: VelocityTrace) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import EventKind, EventSegment, fixation_noise_threshold
-from .errors import InsufficientDataError
+from .classify import FIXATION, EventKind, EventSegment, event_labels
+from .errors import AlignmentError, InsufficientDataError
 from .metrics import quantile
 from .signal import GazeRecording, VelocityTrace
 
@@ -31,6 +31,21 @@ class SubjectFeatures:
     mn_vel_r_md: float
     accuracy_dva: float | None
     precision_dva: float
+
+
+def fixation_noise_threshold(
+    rec: GazeRecording, vel: VelocityTrace, segs: list[EventSegment]
+) -> float:
+    """90th percentile of radial velocity over valid fixation samples."""
+    n = rec.n_samples
+    if len(vel.v_radial) != n:
+        raise AlignmentError("velocity trace misaligned with recording")
+    values = vel.v_radial[(event_labels(segs, n) == FIXATION) & vel.valid]
+    if values.size < 100:
+        raise InsufficientDataError(
+            f"need >= 100 valid fixation samples for the noise threshold, got {values.size}"
+        )
+    return quantile(values, 0.9)
 
 
 def _saccade_segs(segs: list[EventSegment]) -> list[EventSegment]:
@@ -76,12 +91,11 @@ def data_quality(
             sq_disp.append(np.diff(x) ** 2 + np.diff(y) ** 2)
         if have_targets and x.size > 0:
             # the target step in effect when the fixation starts
-            t_start = int(rec.t_ms[seg.start_idx])
-            tgt_idx = int(np.searchsorted(rec.targets[:, 0], t_start, side="right")) - 1
+            tgt_idx = int(np.searchsorted(rec.targets[:, 0], seg.start_idx, side="right")) - 1
             if tgt_idx < 0:  # before the first target step
                 continue
             tgt_onset, tgt_x, tgt_y = rec.targets[tgt_idx].tolist()
-            if t_start - tgt_onset < TARGET_LOCK_DELAY_MS:
+            if seg.start_idx - tgt_onset < TARGET_LOCK_DELAY_MS:
                 continue
             cx, cy = float(np.mean(x)), float(np.mean(y))
             dist = float(np.hypot(cx - tgt_x, cy - tgt_y))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError
-from .opkf import PredictionRun, _check_pi
+from .metrics import PredictionRun, _check_pi
 from .signal import GazeRecording, VelocityTrace
 
 WINDOW_SAMPLES = 100
@@ -167,9 +167,6 @@ class LstmModel:
         params["lstm1.b"][_F] = 1.0
         params["lstm2.b"][_F] = 1.0
         return cls(params)
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
@@ -538,7 +535,7 @@ def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, p
         predicted[issued, 1] = rec.y[issued] + vel.vy[issued] * dt_s
     else:
         raise ConfigError(f"unknown baseline kind {kind!r}")
-    return PredictionRun.from_issued(rec, kind, pi_ms, predicted, issued)
+    return PredictionRun.from_issued(rec, pi_ms, predicted, issued)
 
 
 def lstm_predict_recording(
@@ -562,4 +559,4 @@ def lstm_predict_recording(
         predicted[sel, 1] = rec.y[sel] + disp[:, 1]
     issued = np.zeros(n, dtype=bool)
     issued[ends] = True
-    return PredictionRun.from_issued(rec, "lstm", pi_ms, predicted, issued)
+    return PredictionRun.from_issued(rec, pi_ms, predicted, issued)

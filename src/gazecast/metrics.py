@@ -2,14 +2,16 @@
 
 The first half of this module is small, self-contained statistics
 (quantiles, Spearman correlation, Bonferroni flags, Kendall's W) written
-directly from their defining formulas. The second half scores prediction
-runs against ground truth into a two-column table (target sample, error)
-and aggregates those errors per event class and subject; event classes
-come from the segments, expanded once per call.
+directly from their defining formulas. The second half defines the
+``PredictionRun`` that every predictor returns, scores runs against ground
+truth into a two-column table (target sample, error) and aggregates those
+errors per event class and subject; event classes come from the segments,
+expanded once per call.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,6 +26,7 @@ from .errors import (
     InsufficientDataError,
     UndefinedStatisticError,
 )
+from .signal import GazeRecording
 
 ALPHA = 0.05  # family-wise significance level of the Bonferroni correction
 MIN_RECORDS = 30  # errors a subject needs in a class to enter subject_stats
@@ -149,6 +152,41 @@ def kendall_w(scores) -> float:
 # scoring prediction runs against labeled recordings
 
 
+def _check_pi(pi_ms) -> None:
+    if not isinstance(pi_ms, numbers.Integral) or pi_ms < 1:
+        raise ConfigError(f"pi_ms must be an integer >= 1, got {pi_ms!r}")
+
+
+@dataclass(frozen=True)
+class PredictionRun:
+    """One predictor's output over a recording at one prediction interval.
+
+    ``predicted[i]`` targets ground-truth sample i + ``pi_ms``, and only the
+    rows flagged in ``valid_mask`` are scored.
+    """
+
+    pi_ms: int
+    predicted: np.ndarray
+    valid_mask: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.valid_mask)
+        if self.predicted.shape != (n, 2):
+            raise ConfigError("predicted must be (n, 2) aligned with valid_mask")
+
+    @classmethod
+    def from_issued(
+        cls, rec: GazeRecording, pi_ms: int, predicted: np.ndarray, issued: np.ndarray
+    ) -> PredictionRun:
+        """Run valid where a prediction was issued and its target sample
+        i+PI lies inside the recording and is valid."""
+        n = rec.n_samples
+        target_ok = np.zeros(n, dtype=bool)
+        if pi_ms < n:
+            target_ok[: n - pi_ms] = rec.valid[pi_ms:]
+        return cls(pi_ms, predicted, issued & target_ok)
+
+
 @dataclass(frozen=True)
 class ScoredRun:
     """Scored predictions of one run, one row per scored prediction.
@@ -184,12 +222,8 @@ def _check_tiling(segs: Sequence[EventSegment], n: int) -> None:
         )
 
 
-def score_run(run, rec, segs: Sequence[EventSegment]) -> ScoredRun:
-    """Score every unmasked prediction of a run against the recording.
-
-    ``run`` is any PredictionRun-shaped object: ``predicted`` (n, 2),
-    ``valid_mask`` (n,), ``pi_ms``; row i targets sample i + pi_ms.
-    """
+def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegment]) -> ScoredRun:
+    """Score every unmasked prediction of a run against the recording."""
     n = len(rec.x)
     pred = np.asarray(run.predicted, dtype=float)
     mask = np.asarray(run.valid_mask, dtype=bool)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -51,7 +50,7 @@ import numpy as np
 
 from .classify import EventKind, EventSegment, causal_saccade_mask
 from .errors import ConfigError, FitError, InstabilityError, InsufficientDataError
-from .metrics import CEP_WINDOW_MS, score_run
+from .metrics import CEP_WINDOW_MS, PredictionRun, _check_pi, score_run
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
 from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
 
@@ -265,11 +264,6 @@ _POS_VAR = (PRECISION_DVA / 2.0) ** 2
 MEASUREMENT_NOISE = (_POS_VAR, _POS_VAR * DiffConfig(mode="causal").noise_gain() ** 2)
 
 
-def _check_pi(pi_ms) -> None:
-    if not isinstance(pi_ms, numbers.Integral) or pi_ms < 1:
-        raise ConfigError(f"pi_ms must be an integer >= 1, got {pi_ms!r}")
-
-
 @dataclass(frozen=True)
 class OpkfConfig:
     """The filter's plant parameters, its one per-subject setting.
@@ -280,38 +274,6 @@ class OpkfConfig:
     """
 
     params: PlantParams = DEFAULT_PARAMS
-
-
-@dataclass(frozen=True)
-class PredictionRun:
-    """Predictions aligned so predicted[i] targets ground-truth sample i+PI."""
-
-    predictor_id: str
-    pi_ms: int
-    predicted: np.ndarray
-    valid_mask: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.valid_mask)
-        if self.predicted.shape != (n, 2):
-            raise ConfigError("predicted must be (n, 2) aligned with valid_mask")
-
-    @classmethod
-    def from_issued(
-        cls,
-        rec: GazeRecording,
-        predictor_id: str,
-        pi_ms: int,
-        predicted: np.ndarray,
-        issued: np.ndarray,
-    ) -> PredictionRun:
-        """Run valid where a prediction was issued and its target sample
-        i+PI lies inside the recording and is valid."""
-        n = rec.n_samples
-        target_ok = np.zeros(n, dtype=bool)
-        if pi_ms < n:
-            target_ok[: n - pi_ms] = rec.valid[pi_ms:]
-        return cls(predictor_id, pi_ms, predicted, issued & target_ok)
 
 
 class _RegimeMatrices:
@@ -431,7 +393,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     for pi in pi_list:
         rows = np.where(in_saccade, matrices.pi_rows[(True, pi)], matrices.pi_rows[(False, pi)])
         predicted = np.einsum("nk,nkj->nj", rows, posterior)
-        runs[pi] = PredictionRun.from_issued(rec, "opkf", pi, predicted, rec.valid)
+        runs[pi] = PredictionRun.from_issued(rec, pi, predicted, rec.valid)
     return runs
 
 
@@ -606,7 +568,7 @@ def fit_subject_params(
     for s in cal:
         target_mask[s.start_idx : s.end_idx + CEP_WINDOW_MS + 1] = True
 
-    prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("t_ms", "x", "y", "valid")})
+    prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("x", "y", "valid")})
     prefix_segs = [s for s in segs if s.start_idx < cal_end]
     prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
     vel, saccade = _regime_inputs(prefix)

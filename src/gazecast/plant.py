@@ -318,8 +318,8 @@ def default_param_sampler(rng: np.random.Generator) -> PlantParams:
     )
 
 
-def drift_noise(rng: np.random.Generator, n: int, sigma: float, corner_hz: float) -> np.ndarray:
-    """Band-limited drift: two cascaded AR(1) poles at corner_hz, unit-free.
+def drift_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
+    """Band-limited drift: two cascaded AR(1) poles at DRIFT_CORNER_HZ.
 
     The cascade of two identical AR(1) filters driven by white noise has
     stationary variance (1 + a^2) / (1 - a^2)^3 per unit innovation, which
@@ -327,7 +327,7 @@ def drift_noise(rng: np.random.Generator, n: int, sigma: float, corner_hz: float
     """
     if sigma == 0.0 or n == 0:
         return np.zeros(n)
-    a = float(np.exp(-2.0 * np.pi * corner_hz / 1000.0))
+    a = float(np.exp(-2.0 * np.pi * DRIFT_CORNER_HZ / 1000.0))
     e = rng.standard_normal(n)
     z1 = float(rng.standard_normal() / np.sqrt(1.0 - a * a))  # stationary start
     # second stage starts at its own stationary draw to avoid a warm-up ramp
@@ -418,14 +418,14 @@ def _simulate_subject(
     truth = segments_from_labels(labels, x, y, v_true)
 
     white = WHITE_FRACTION * sigma
-    gx = x + calib_offset[0] + drift_noise(rng, n, sigma, DRIFT_CORNER_HZ)
-    gy = y + calib_offset[1] + drift_noise(rng, n, sigma, DRIFT_CORNER_HZ)
+    gx = x + calib_offset[0] + drift_noise(rng, n, sigma)
+    gy = y + calib_offset[1] + drift_noise(rng, n, sigma)
     if white > 0:
         gx = gx + rng.normal(0.0, white, n)
         gy = gy + rng.normal(0.0, white, n)
 
     target_rows = np.column_stack([target_times[: len(targets)], targets])
-    rec = recording_from_arrays(subject_id, gx, gy, targets=target_rows, session_id="synth")
+    rec = recording_from_arrays(subject_id, gx, gy, targets=target_rows)
     return CohortMember(recording=rec, truth=truth, noise_sigma=float(sigma), params=params)
 
 

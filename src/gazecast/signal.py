@@ -1,11 +1,12 @@
 """Recording ingestion, validation, and velocity estimation.
 
-Positions are degrees of visual angle (dva), timestamps are integer
-milliseconds at a fixed 1000 Hz rate. Velocities are dva/s estimated with a
-fixed 7-sample, order-2 Savitzky-Golay derivative whose taps are stored as
-constants; any derivative window that overlaps an invalid (blink /
-track-loss) sample is itself invalid, and edge samples where the window does
-not fit are invalid too. No interpolation is ever performed across gaps.
+Positions are degrees of visual angle (dva) sampled at a fixed 1000 Hz, so
+a recording holds no clock: sample ``i`` is at ``i`` ms. Velocities are
+dva/s estimated with a fixed 7-sample, order-2 Savitzky-Golay derivative
+whose taps are stored as constants; any derivative window that overlaps an
+invalid (blink / track-loss) sample is itself invalid, and edge samples
+where the window does not fit are invalid too. No interpolation is ever
+performed across gaps.
 """
 
 from __future__ import annotations
@@ -61,49 +62,36 @@ CAUSAL_TAPS = _taps(
 
 @dataclass(frozen=True)
 class GazeRecording:
-    """A single 1000 Hz recording for one subject/session.
+    """A single 1000 Hz recording for one subject; sample ``i`` is at ``i`` ms.
 
     Samples are stored as parallel arrays; ``x``/``y`` hold NaN where
     ``valid`` is False. ``targets`` optionally lists stimulus steps as rows
-    of (t_ms, x_dva, y_dva), one row per target change.
+    of (sample index, x_dva, y_dva), one row per target change.
     """
 
     subject_id: str
-    session_id: str
-    t_ms: np.ndarray
     x: np.ndarray
     y: np.ndarray
     valid: np.ndarray
     targets: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.t_ms)
+        n = len(self.x)
         if n == 0:
             raise EmptyInputError("recording has no samples")
-        if not (len(self.x) == len(self.y) == len(self.valid) == n):
+        if not (len(self.y) == len(self.valid) == n):
             raise AlignmentError("sample arrays have mismatched lengths")
         bad = self.valid & ~(np.isfinite(self.x) & np.isfinite(self.y))
         if bad.any():
             raise DataError(f"sample {int(np.argmax(bad))} is marked valid but its position is not finite")
-        steps = np.diff(self.t_ms)
-        if n > 1 and not np.all(steps == 1):
-            bad = int(np.argmax(steps != 1))
-            raise RateError(
-                f"timestamps must advance by exactly 1 ms; step of {int(steps[bad])} ms "
-                f"after t={int(self.t_ms[bad])}"
-            )
 
     @property
     def n_samples(self) -> int:
-        return len(self.t_ms)
-
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
+        return len(self.x)
 
     @property
     def duration_ms(self) -> int:
-        return int(self.t_ms[-1] - self.t_ms[0] + 1)
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -178,16 +166,18 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: str = "") -> GazeRecording:
+def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "") -> GazeRecording:
     """Read one recording from a UTF-8 CSV with a header row.
 
+    The timestamps must advance by exactly 1 ms and are not stored: the
+    first row becomes sample 0, and target onsets become sample indices.
     Rows whose gaze fields are empty, "NaN", or non-finite become
     valid=False samples; a row whose target fields are empty or non-finite
     logs no target step. Raises ParseError (with row number) on a missing
-    column or a malformed row, RateError on non-1 ms timestamp steps,
-    EmptyInputError on a file with no data rows.
+    column or a malformed row, RateError (with row number) on a timestamp
+    step other than 1 ms, EmptyInputError on a file with no data rows.
     """
-    t_list: list[int] = []
+    t_first = t_prev = None
     x_list: list[float] = []
     y_list: list[float] = []
     valid_list: list[bool] = []
@@ -213,6 +203,14 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
                 t = int(raw_t)
             except ValueError:
                 raise ParseError(f"{path}: bad timestamp {raw_t!r}", row=rownum) from None
+            if t_prev is None:
+                t_first = t
+            elif t - t_prev != 1:
+                raise RateError(
+                    f"{path}: timestamps must advance by exactly 1 ms; "
+                    f"step of {t - t_prev} ms after t={t_prev} (row {rownum})"
+                )
+            t_prev = t
             try:
                 x = _parse_float(row[mapping.x])
                 y = _parse_float(row[mapping.y])
@@ -222,7 +220,6 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
             if ok and mapping.validity is not None:
                 flag = row[mapping.validity].strip().lower()
                 ok = flag in ("1", "true", "t", "yes", "valid")
-            t_list.append(t)
             x_list.append(x if ok else math.nan)
             y_list.append(y if ok else math.nan)
             valid_list.append(ok)
@@ -234,15 +231,13 @@ def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "", session_id: s
                     raise ParseError(f"{path}: bad target value ({exc})", row=rownum) from None
                 if math.isfinite(tx) and math.isfinite(ty):
                     if not tgt_rows or (tgt_rows[-1][1], tgt_rows[-1][2]) != (tx, ty):
-                        tgt_rows.append((t, tx, ty))
+                        tgt_rows.append((t - t_first, tx, ty))
 
-    if not t_list:
+    if t_first is None:
         raise EmptyInputError(f"{path}: no data rows")
     targets = np.array(tgt_rows, dtype=float) if tgt_rows else None
     return GazeRecording(
         subject_id=subject_id or str(path),
-        session_id=session_id,
-        t_ms=np.asarray(t_list, dtype=np.int64),
         x=np.asarray(x_list, dtype=float),
         y=np.asarray(y_list, dtype=float),
         valid=np.asarray(valid_list, dtype=bool),
@@ -292,7 +287,6 @@ def recording_from_arrays(
     y: Sequence[float],
     valid: Sequence[bool] | None = None,
     targets: np.ndarray | None = None,
-    session_id: str = "S1",
 ) -> GazeRecording:
     """Convenience constructor used by the generator and by tests."""
     x = np.asarray(x, dtype=float)
@@ -305,8 +299,6 @@ def recording_from_arrays(
     y = np.where(valid_arr, y, np.nan)
     return GazeRecording(
         subject_id=subject_id,
-        session_id=session_id,
-        t_ms=np.arange(len(x), dtype=np.int64),
         x=x,
         y=y,
         valid=valid_arr,

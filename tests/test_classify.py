@@ -15,9 +15,9 @@ from gazecast.classify import (
     causal_saccade_mask,
     classify_events,
     event_labels,
-    fixation_noise_threshold,
 )
 from gazecast.errors import AlignmentError, ConfigError, InsufficientDataError
+from gazecast.features import fixation_noise_threshold
 from gazecast.signal import DiffConfig, VelocityTrace, compute_velocity, recording_from_arrays
 
 

@@ -14,7 +14,7 @@ from gazecast.errors import (
     InsufficientDataError,
 )
 from gazecast.learned import baseline_predict
-from gazecast.opkf import OpkfConfig, PredictionRun, opkf_predict_multi
+from gazecast.opkf import OpkfConfig, opkf_predict_multi
 from gazecast.plant import SynthConfig, generate_cohort
 from gazecast.signal import compute_velocity, recording_from_arrays
 
@@ -31,10 +31,8 @@ def three_part_segs(n=300, sac=(150, 169), amp=12.0):
     ]
 
 
-def run_from(predicted, mask, pi=40, predictor_id="test"):
-    return PredictionRun(
-        predictor_id=predictor_id, pi_ms=pi, predicted=predicted, valid_mask=mask
-    )
+def run_from(predicted, mask, pi=40):
+    return M.PredictionRun(pi_ms=pi, predicted=predicted, valid_mask=mask)
 
 
 def scored(errors_by_idx):

@@ -1,5 +1,7 @@
-"""The package metadata and import cost: every console script names a callable."""
+"""The package metadata and import graph: every console script names a
+callable, and modules import only what they use, at module level."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -24,17 +26,39 @@ def test_console_scripts_resolve():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-def test_package_imports_no_scipy_signal_or_stats():
-    # both take most of a second to import, and no gazecast module needs them
+def loaded_after(code: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     import gazecast
 
-    code = (
-        "import importlib, pkgutil, sys, gazecast\n"
-        "for m in pkgutil.iter_modules(gazecast.__path__):\n"
-        "    importlib.import_module('gazecast.' + m.name)\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
-    )
+    code += f"\nimport sys\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     src = str(Path(gazecast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_package_imports_no_scipy_signal_or_stats():
+    # both take most of a second to import, and no gazecast module needs them
+    code = (
+        "import importlib, pkgutil, gazecast\n"
+        "for m in pkgutil.iter_modules(gazecast.__path__):\n"
+        "    importlib.import_module('gazecast.' + m.name)\n"
+    )
+    assert loaded_after(code, ("scipy.signal", "scipy.stats")) == []
+
+
+def test_learned_needs_no_kalman_filter():
+    # the LSTM and the baselines return the run type scoring defines
+    assert loaded_after("import gazecast.learned", ("gazecast.opkf", "scipy.linalg")) == []
+
+
+def test_no_import_inside_a_function():
+    # a deferred import hides a cycle in the module graph
+    import gazecast
+
+    for path in sorted(Path(gazecast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}:{inner[0]} imports inside {fn.name}()"

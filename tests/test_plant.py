@@ -7,7 +7,6 @@ import pytest
 from gazecast.errors import ConfigError, FitError, InstabilityError
 from gazecast.plant import (
     DEFAULT_PARAMS,
-    CohortMember,
     PlantParams,
     SynthConfig,
     drift_noise,
@@ -201,17 +200,17 @@ class TestPlantTransition:
 class TestDriftNoise:
     def test_std_matches_sigma(self):
         rng = np.random.default_rng(3)
-        y = drift_noise(rng, 200_000, 0.5, 3.0)
+        y = drift_noise(rng, 200_000, 0.5)
         assert np.std(y) == pytest.approx(0.5, rel=0.05)
 
     def test_zero_sigma(self):
         rng = np.random.default_rng(3)
-        assert np.all(drift_noise(rng, 100, 0.0, 3.0) == 0.0)
+        assert np.all(drift_noise(rng, 100, 0.0) == 0.0)
 
     def test_band_limited(self):
         # drift velocity should be gentle: well under saccadic speeds
         rng = np.random.default_rng(4)
-        y = drift_noise(rng, 50_000, 0.8, 3.0)
+        y = drift_noise(rng, 50_000, 0.8)
         v = np.diff(y) * 1000.0
         assert np.std(v) < 25.0
 
@@ -283,7 +282,8 @@ class TestCohort:
             assert s.props.amplitude_dva > 1.0
 
     def test_sigma_sweep_drives_noise_threshold(self):
-        from gazecast.classify import classify_events, fixation_noise_threshold
+        from gazecast.classify import classify_events
+        from gazecast.features import fixation_noise_threshold
         from gazecast.metrics import spearman
         from gazecast.signal import compute_velocity
 
