@@ -87,23 +87,23 @@ class WindowBatch:
         return WindowBatch(self.inputs[key], self.targets[key], self.end_indices[key])
 
 
-def _valid_window_ends(rec: GazeRecording, vel: VelocityTrace, pi_ms: int, require_target: bool) -> np.ndarray:
-    """Window-end indices whose trailing 100 samples are all usable."""
-    n = rec.n_samples
-    if len(vel.vx) != n:
+def _check_causal(rec: GazeRecording, vel: VelocityTrace, user: str) -> None:
+    if len(vel.vx) != rec.n_samples:
         raise AlignmentError("velocity trace misaligned with recording")
     if vel.cfg.mode != "causal":
-        # a centered trace looks ahead, so its windows would see the future
-        raise ConfigError(f"LSTM windows need a causal velocity trace, got mode {vel.cfg.mode!r}")
+        # a centered trace looks ahead, so a prediction from it would see the future
+        raise ConfigError(f"{user} needs a causal velocity trace, got mode {vel.cfg.mode!r}")
+
+
+def _valid_window_ends(rec: GazeRecording, vel: VelocityTrace) -> np.ndarray:
+    """Window-end indices whose trailing 100 samples are all usable."""
+    _check_causal(rec, vel, "an LSTM window")
+    n = rec.n_samples
     ok = vel.valid & rec.valid
     csum = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
     ends = np.arange(WINDOW_SAMPLES - 1, n)
     full = (csum[ends + 1] - csum[ends + 1 - WINDOW_SAMPLES]) == WINDOW_SAMPLES
-    ends = ends[full]
-    if require_target:
-        ends = ends[ends + pi_ms <= n - 1]
-        ends = ends[rec.valid[ends + pi_ms]]
-    return ends
+    return ends[full]
 
 
 def _window_inputs(vel: VelocityTrace, ends: np.ndarray) -> np.ndarray:
@@ -123,7 +123,9 @@ def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBa
     validity flags and vanishes here. An empty batch is a legal result.
     """
     _check_pi(pi_ms)
-    ends = _valid_window_ends(rec, vel, pi_ms, require_target=True)
+    ends = _valid_window_ends(rec, vel)
+    ends = ends[ends + pi_ms < rec.n_samples]
+    ends = ends[rec.valid[ends + pi_ms]]
     targets = np.column_stack(
         [rec.x[ends + pi_ms] - rec.x[ends], rec.y[ends + pi_ms] - rec.y[ends]]
     )
@@ -527,8 +529,7 @@ def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, p
     elif kind == "constant-velocity":
         if vel is None:
             raise ConfigError("constant-velocity needs a velocity trace")
-        if len(vel.vx) != n:
-            raise AlignmentError("velocity trace misaligned with recording")
+        _check_causal(rec, vel, "constant-velocity")
         issued = rec.valid & vel.valid
         dt_s = pi_ms / 1000.0
         predicted[issued, 0] = rec.x[issued] + vel.vx[issued] * dt_s
@@ -549,8 +550,7 @@ def lstm_predict_recording(
     predicted displacement."""
     _check_pi(pi_ms)
     n = rec.n_samples
-    ends = _valid_window_ends(rec, vel, pi_ms, require_target=False)
-    ends = ends[rec.valid[ends]]
+    ends = _valid_window_ends(rec, vel)
     predicted = np.full((n, 2), np.nan)
     for s in range(0, ends.size, chunk):
         sel = ends[s : s + chunk]

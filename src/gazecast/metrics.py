@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .classify import FIXATION, LARGE_SACCADE, SACCADE, EventKind, EventSegment, event_labels
+from .classify import BLINK, FIXATION, LARGE_SACCADE, SACCADE, EventSegment, event_labels
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -56,8 +56,13 @@ def iqr(values) -> float:
 
 
 def rankdata(values) -> np.ndarray:
-    """1-based ranks with ties assigned the average of their positions."""
+    """1-based ranks with ties assigned the average of their positions.
+
+    A NaN or infinite value has no rank and raises UndefinedStatisticError.
+    """
     v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise UndefinedStatisticError("ranks undefined for non-finite values")
     order = np.argsort(v, kind="stable")
     ranks = np.empty(v.size, dtype=float)
     sv = v[order]
@@ -105,14 +110,15 @@ def bonferroni(p_values, family_size: int | None = None) -> list[bool]:
     """Per-test significance flags at the ALPHA/m Bonferroni threshold.
 
     ``family_size`` lets the caller correct over a family larger than the
-    p-values actually supplied; by default m = len(p_values).
+    p-values actually supplied; by default m = len(p_values). A family
+    smaller than the p-values supplied raises ConfigError.
     """
     p = list(p_values)
     if not p:
         raise EmptyInputError("no p-values to correct")
     m = family_size if family_size is not None else len(p)
-    if m < 1:
-        raise ConfigError(f"family size must be >= 1, got {m}")
+    if m < len(p):
+        raise ConfigError(f"family size {m} is smaller than the {len(p)} p-values tested")
     thr = ALPHA / m
     return [pi < thr for pi in p]
 
@@ -246,39 +252,15 @@ def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegmen
     return ScoredRun(tgt, err)
 
 
-def cep_intervals(segs: Sequence[EventSegment]) -> list[tuple[int, int]]:
-    """Post-saccadic windows: [end+1, end+100], cut at the next saccade or blink.
-
-    Windows are truncated at the recording end; a window fully consumed by an
-    immediately following saccade or blink is dropped.
-    """
-    if not segs:
-        return []
-    n = segs[-1].end_idx + 1
-    out = []
-    for i, s in enumerate(segs):
-        if s.kind != EventKind.SACCADE:
-            continue
-        start = s.end_idx + 1
-        end = min(s.end_idx + CEP_WINDOW_MS, n - 1)
-        for nxt in segs[i + 1 :]:
-            if nxt.start_idx > end:
-                break
-            if nxt.kind in (EventKind.SACCADE, EventKind.BLINK):
-                end = nxt.start_idx - 1
-                break
-        if start <= end:
-            out.append((start, end))
-    return out
-
-
 def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
     """Split scored errors into the five reporting classes.
 
-    "cep" selects rows inside post-saccadic windows regardless of their own
-    event kind (the windows already stop at the next saccade or blink); the
-    other classes select by the label of the row's target sample. A row
-    whose sample index lies outside the segments raises AlignmentError.
+    "cep" selects rows in a post-saccadic window regardless of their own
+    event kind: the latest saccade or blink sample at or before the row's
+    target sample is a saccade sample 1 to CEP_WINDOW_MS samples earlier,
+    so a window stops at the next saccade or blink. The other classes
+    select by the label of the row's target sample. A row whose sample
+    index lies outside the segments raises AlignmentError.
     """
     n = segs[-1].end_idx + 1 if segs else 0
     idxs = scored.sample_idx
@@ -287,16 +269,18 @@ def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, n
         raise AlignmentError(
             f"scored sample_idx {int(idxs[outside][0])} lies outside the {n} segmented samples"
         )
-    in_cep = np.zeros(n, dtype=bool)
-    for a, b in cep_intervals(segs):
-        in_cep[a : b + 1] = True
-    labels = event_labels(segs, n)[idxs]
+    labels = event_labels(segs, n)
+    saccade = (labels == SACCADE) | (labels == LARGE_SACCADE)
+    latest = np.maximum.accumulate(np.where(saccade | (labels == BLINK), np.arange(n), -1))[idxs]
+    lag = idxs - latest
+    in_cep = (latest >= 0) & saccade[latest] & (lag >= 1) & (lag <= CEP_WINDOW_MS)
+    kind = labels[idxs]
     err = scored.error_dva
     return {
-        "fixation": err[labels == FIXATION],
-        "small_saccade": err[labels == SACCADE],
-        "large_saccade": err[labels == LARGE_SACCADE],
-        "cep": err[in_cep[idxs]],
+        "fixation": err[kind == FIXATION],
+        "small_saccade": err[kind == SACCADE],
+        "large_saccade": err[kind == LARGE_SACCADE],
+        "cep": err[in_cep],
         "all": err,
     }
 
@@ -307,20 +291,15 @@ def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, n
 
 @dataclass(frozen=True)
 class SubjectStats:
-    """Per-subject error spread in one event class, plus cohort-level spread.
+    """Per-subject median errors in one event class, and their cohort spread.
 
     The cohort ratio is max/min of the per-subject medians (Inf when some
-    subject's median is exactly zero).
+    subject's median is exactly zero); the cohort IQR is their IQR.
     """
 
     event_class: str
     subject_ids: tuple[str, ...]
     medians: tuple[float, ...]
-    iqrs: tuple[float, ...]
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
-    cohort_min: float
-    cohort_max: float
     cohort_ratio: float
     cohort_iqr: float
 
@@ -333,16 +312,13 @@ def subject_stats(per_subject_errors: Mapping[str, Sequence[float]], event_class
     """
     if event_class not in EVENT_CLASSES:
         raise ConfigError(f"unknown event class {event_class!r}, expected one of {EVENT_CLASSES}")
-    ids, meds, iqrs_, mins_, maxs_ = [], [], [], [], []
+    ids, meds = [], []
     for sid in sorted(per_subject_errors):
         e = np.asarray(per_subject_errors[sid], dtype=float)
         if e.size < MIN_RECORDS:
             continue
         ids.append(sid)
         meds.append(quantile(e, 0.5))
-        iqrs_.append(iqr(e))
-        mins_.append(float(e.min()))
-        maxs_.append(float(e.max()))
     if not ids:
         raise InsufficientDataError(
             f"no subject has >= {MIN_RECORDS} records in class {event_class!r}"
@@ -352,11 +328,6 @@ def subject_stats(per_subject_errors: Mapping[str, Sequence[float]], event_class
         event_class=event_class,
         subject_ids=tuple(ids),
         medians=tuple(meds),
-        iqrs=tuple(iqrs_),
-        mins=tuple(mins_),
-        maxs=tuple(maxs_),
-        cohort_min=mn,
-        cohort_max=mx,
         cohort_ratio=mx / mn if mn > 0 else float("inf"),
         cohort_iqr=iqr(meds) if len(meds) > 1 else 0.0,
     )
@@ -399,7 +370,7 @@ def correlate_features(
         r, p = spearman(features[f], medians[m])
         rs.append(r)
         ps.append(p)
-    flags = bonferroni(ps, family_size=family_size or len(pairs))
+    flags = bonferroni(ps, family_size=family_size)
     return [
         CorrelationResult(f, m, event_class, r, p, bool(sig))
         for (f, m), r, p, sig in zip(pairs, rs, ps, flags)

@@ -549,12 +549,13 @@ def fit_subject_params(
 
     The objective is the mean ``pi_ms``-ahead error, as ``score_run``
     scores it, over targets in the first 40% of detected saccades and the
-    CEP window after each, of the filter with the candidate plant and the
-    module's noise constants, run from the start of the recording. The
-    velocity and regime labels are computed once, and so is the base set's
-    error, which the first simplex vertex reuses. Returns the fitted
-    parameters only when they score better than the base set on
-    calibration.
+    ``CEP_WINDOW_MS`` samples after each, of the filter with the candidate
+    plant and the module's noise constants, run from the start of the
+    recording. Unlike the "cep" class of ``class_errors``, those samples
+    are not cut at the next saccade or blink. The velocity and regime
+    labels are computed once, and so is the base set's error, which the
+    first simplex vertex reuses. Returns the fitted parameters only when
+    they score better than the base set on calibration.
     """
     _check_pi(pi_ms)
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]

@@ -37,18 +37,16 @@ is a fixed point of that form.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .classify import FIXATION, SACCADE, EventSegment, segments_from_labels
+from .classify import FIXATION, ONSET_OFFSET_THRESHOLD, SACCADE, EventSegment, segments_from_labels
 from .errors import ConfigError, FitError, InstabilityError
 from .signal import GazeRecording, recording_from_arrays
 
 SETTLE_SUSTAIN_MS = 20  # whole ms: the simulator's grid is 1 ms
 SIMULATION_CAP_MS = 400
-TRUTH_VELOCITY_THRESHOLD = 20.0  # dva/s; equals classify.ONSET_OFFSET_THRESHOLD
 MIN_TARGET_STEP_DVA = 5.0
 
 
@@ -131,9 +129,8 @@ def _affine_step(params: PlantParams, taus: tuple[float, float], b: np.ndarray, 
     return phi, m @ b
 
 
-@lru_cache(maxsize=64)
-def _tracking_step(params: PlantParams):
-    """Exact 1 ms (Phi, Gamma) for the target-blind re-equilibration form.
+def transition_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Gamma) of the target-blind form over 1 ms: x' = Phi x + Gamma u.
 
     Continuous system: forces relax toward the holding pair of the current
     position plus a symmetric drive u: N_ag = (K/2)*theta + u,
@@ -158,12 +155,6 @@ def _tracking_step(params: PlantParams):
     aug[:4, 4] = b_unit
     m = expm(aug * 1e-3)  # 1 ms in seconds
     return m[:4, :4].copy(), m[:4, 4].copy()
-
-
-def transition_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Gamma) of the target-blind form over 1 ms: x' = Phi x + Gamma u."""
-    phi, gamma = _tracking_step(params)
-    return phi.copy(), gamma.copy()
 
 
 def _phase_taus(params: PlantParams, direction: float, pulse: bool) -> tuple[float, float]:
@@ -403,7 +394,7 @@ def _simulate_subject(
     v_true = np.hypot(wx, wy)
     for onset, end in sacc_windows:
         seg_v = v_true[onset : end + 1]
-        fast = seg_v >= TRUTH_VELOCITY_THRESHOLD
+        fast = seg_v >= ONSET_OFFSET_THRESHOLD
         if not fast.any():
             continue
         peak = int(np.argmax(seg_v))

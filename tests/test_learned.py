@@ -113,6 +113,8 @@ class TestMakeWindows:
             L.make_windows(rec, centered, PI)
         with pytest.raises(ConfigError, match="causal"):
             L.lstm_predict_recording(L.LstmModel.init_seeded(0), rec, centered, PI)
+        with pytest.raises(ConfigError, match="causal"):
+            L.baseline_predict("constant-velocity", rec, centered, PI)
 
 
 class TestForward:

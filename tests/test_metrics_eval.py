@@ -16,7 +16,9 @@ from gazecast.errors import (
 from gazecast.learned import baseline_predict
 from gazecast.opkf import OpkfConfig, opkf_predict_multi
 from gazecast.plant import SynthConfig, generate_cohort
-from gazecast.signal import compute_velocity, recording_from_arrays
+from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
+
+CAUSAL = DiffConfig(mode="causal")
 
 
 def sacc_props(amp, dur=20):
@@ -200,55 +202,59 @@ class TestScoreRun:
         assert len(table) == int(run.valid_mask.sum())
 
 
-class TestCepIntervals:
-    def test_full_interval(self):
-        segs = [
-            EventSegment(EventKind.FIXATION, 0, 479),
-            EventSegment(EventKind.SACCADE, 480, 500, sacc_props(8.0)),
+def post_saccade_segs(*tail):
+    """Fixation, an 8 dva saccade over samples 480-500, then ``tail``."""
+    return [
+        EventSegment(EventKind.FIXATION, 0, 479),
+        EventSegment(EventKind.SACCADE, 480, 500, sacc_props(8.0)),
+        *tail,
+    ]
+
+
+# segments -> the [start, end] sample runs class_errors puts in "cep"
+CEP_CASES = {
+    "full_interval": (
+        post_saccade_segs(
             EventSegment(EventKind.FIXATION, 501, 899),
             EventSegment(EventKind.SACCADE, 900, 920, sacc_props(8.0)),
             EventSegment(EventKind.FIXATION, 921, 1500),
-        ]
-        assert M.cep_intervals(segs)[0] == (501, 600)
-
-    def test_truncated_by_next_saccade(self):
-        # 30 fixation samples between saccade end 500 and next onset 531
-        segs = [
-            EventSegment(EventKind.FIXATION, 0, 479),
-            EventSegment(EventKind.SACCADE, 480, 500, sacc_props(8.0)),
+        ),
+        [(501, 600), (921, 1020)],
+    ),
+    # 30 fixation samples between saccade end 500 and next onset 531
+    "truncated_by_next_saccade": (
+        post_saccade_segs(
             EventSegment(EventKind.FIXATION, 501, 530),
             EventSegment(EventKind.SACCADE, 531, 560, sacc_props(8.0)),
             EventSegment(EventKind.FIXATION, 561, 1000),
-        ]
-        first = M.cep_intervals(segs)[0]
-        assert first == (501, 530)
-        assert first[1] - first[0] + 1 == 30
-
-    def test_truncated_at_recording_end(self):
-        segs = [
-            EventSegment(EventKind.FIXATION, 0, 479),
-            EventSegment(EventKind.SACCADE, 480, 500, sacc_props(8.0)),
-            EventSegment(EventKind.FIXATION, 501, 520),
-        ]
-        (only,) = M.cep_intervals(segs)
-        assert only == (501, 520)
-        assert only[1] - only[0] + 1 == 20
-
-    def test_blink_cuts_window(self):
-        segs = [
-            EventSegment(EventKind.FIXATION, 0, 479),
-            EventSegment(EventKind.SACCADE, 480, 500, sacc_props(8.0)),
+        ),
+        [(501, 530), (561, 660)],
+    ),
+    "truncated_at_recording_end": (
+        post_saccade_segs(EventSegment(EventKind.FIXATION, 501, 520)),
+        [(501, 520)],
+    ),
+    "blink_cuts_window": (
+        post_saccade_segs(
             EventSegment(EventKind.FIXATION, 501, 540),
             EventSegment(EventKind.BLINK, 541, 580),
             EventSegment(EventKind.FIXATION, 581, 1000),
-        ]
-        assert M.cep_intervals(segs)[0] == (501, 540)
-
-    def test_no_saccades(self):
-        assert M.cep_intervals([EventSegment(EventKind.FIXATION, 0, 999)]) == []
+        ),
+        [(501, 540)],
+    ),
+    "no_saccades": ([EventSegment(EventKind.FIXATION, 0, 999)], []),
+}
 
 
 class TestClassErrors:
+    @pytest.mark.parametrize("segs, windows", list(CEP_CASES.values()), ids=list(CEP_CASES))
+    def test_cep_samples(self, segs, windows):
+        # one row per sample, its error being its index
+        n = segs[-1].end_idx + 1
+        table = M.ScoredRun(np.arange(n), np.arange(n, dtype=float))
+        want = [float(i) for a, b in windows for i in range(a, b + 1)]
+        assert M.class_errors(table, segs)["cep"].tolist() == want
+
     def test_routing(self):
         segs = [
             EventSegment(EventKind.FIXATION, 0, 479),
@@ -299,7 +305,6 @@ class TestSubjectStats:
         assert stats.medians == (1.0, 2.0)
         assert stats.cohort_ratio == pytest.approx(2.0)
         assert stats.cohort_iqr == pytest.approx(0.5)
-        assert stats.cohort_min == 1.0 and stats.cohort_max == 2.0
 
     def test_identical_subjects(self):
         per_subject = {f"S{i}": np.full(35, 0.7) for i in range(4)}
@@ -317,14 +322,6 @@ class TestSubjectStats:
             M.subject_stats({"S1": np.full(40, 1.0)}, "everything")
         with pytest.raises(InsufficientDataError):
             M.subject_stats({"S1": np.full(5, 1.0)}, "fixation")
-
-    def test_per_subject_spread_reflected(self):
-        rng = np.random.default_rng(3)
-        per_subject = {"A": rng.normal(5.0, 1.0, size=200) ** 2}
-        stats = M.subject_stats(per_subject, "cep")
-        assert stats.mins[0] >= 0.0
-        assert stats.mins[0] < stats.medians[0] < stats.maxs[0]
-        assert stats.iqrs[0] > 0.0
 
 
 class TestCorrelateFeatures:
@@ -359,6 +356,13 @@ class TestCorrelateFeatures:
         assert len(results) == 6
         assert all(r.event_class == "all" for r in results)
 
+    def test_family_smaller_than_pair_count_rejected(self):
+        feats = {"A": list(range(12)), "B": list(range(12))}
+        meds = {"m1": list(range(12)), "m2": list(range(12))}
+        for family_size in (0, 3):
+            with pytest.raises(ConfigError, match="family size"):
+                M.correlate_features(feats, meds, "all", family_size=family_size)
+
     def test_misaligned_vectors(self):
         with pytest.raises(AlignmentError):
             M.correlate_features({"F": range(12)}, {"m": range(11)}, "fixation")
@@ -379,7 +383,7 @@ class TestCohortConcordance:
                 if kind is None:
                     run = opkf_predict_multi(rec, OpkfConfig(), (40,))[40]
                 else:
-                    run = baseline_predict(kind, rec, vel, 40)
+                    run = baseline_predict(kind, rec, compute_velocity(rec, CAUSAL), 40)
                 errs = M.class_errors(M.score_run(run, rec, segs), segs)["fixation"]
                 per_model.append(float(np.median(errs)))
             medians.append(per_model)

@@ -80,6 +80,16 @@ class TestRanks:
     def test_matches_oracle_property(self, v):
         assert np.allclose(rankdata(v), ranks_oracle(v), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [float("nan"), None, float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        values = [1.0, 2.0, 3.0, 4.0, bad, 6.0]
+        with pytest.raises(UndefinedStatisticError, match="non-finite"):
+            rankdata(values)
+        with pytest.raises(UndefinedStatisticError, match="non-finite"):
+            spearman(values, range(1, 7))
+        with pytest.raises(UndefinedStatisticError, match="non-finite"):
+            kendall_w([values, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+
 
 class TestSpearman:
     def test_monotone_increasing_is_one(self):
@@ -148,6 +158,12 @@ class TestBonferroni:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             bonferroni([])
+
+    def test_family_smaller_than_tests_rejected(self):
+        bonferroni([0.02, 0.03, 0.04], family_size=3)
+        for family_size in (0, 1, 2):
+            with pytest.raises(ConfigError, match="family size"):
+                bonferroni([0.02, 0.03, 0.04], family_size=family_size)
 
 
 class TestKendallW:
