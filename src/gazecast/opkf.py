@@ -28,14 +28,20 @@ size (4 states, 2 axes) the fixed cost of a numpy call outweighs its
 arithmetic. Each step is written out entry by entry. The time update forms
 T = Phi P and only the upper triangle of T Phi^T + Q, so the covariance is
 symmetric by construction and is carried as its 10 unique entries; the
-measurement update keeps the Joseph form. The posterior means are collected
-in a flat float array, and everything outside the recursion stays
-vectorized: the regime labels before it, the divergence check and the
-PI-ahead output after it. That output propagates the posterior pi_ms steps
-holding the current regime. Per-subject plant parameters can be fitted by
-Nelder-Mead on a calibration slice of the subject's own saccades, over the
-four plant quantities the filter reads: K/J and B/J of the saccade regime
-and the fixation regime's force time constants tau_ag_deact, tau_ant_act.
+measurement update keeps the Joseph form. The fixation time update, which
+runs at most samples, reads only the five entries of its Phi that are
+neither 0 nor 1. That is exact: every remaining product and sum is
+evaluated as in the generic update, x*1.0 is x, and a dropped x*0.0 term
+changes a finite sum by at most the sign of a zero.
+
+The posterior means are collected in a flat float array, and everything
+outside the recursion stays vectorized: the regime labels before it, the
+divergence check and the PI-ahead output after it. That output propagates
+the posterior pi_ms steps holding the current regime. Per-subject plant
+parameters can be fitted by Nelder-Mead on a calibration slice of the
+subject's own saccades, over the four plant quantities the filter reads:
+K/J and B/J of the saccade regime and the fixation regime's force time
+constants tau_ag_deact, tau_ant_act.
 """
 
 from __future__ import annotations
@@ -113,6 +119,49 @@ def kalman_predict(mean, cov, phi, q):
     return mean, cov
 
 
+def _predict_fixation(mean, cov, coeffs, q):
+    """``kalman_predict`` for a Phi that is the identity except at [0,1],
+    [2,0], [2,2], [3,0] and [3,3], whose values ``coeffs`` holds. The result
+    is the same; the module docstring says why."""
+    a01, a20, a22, a30, a33 = coeffs
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # the rows of T = Phi P that T Phi^T reads; row 1 of T is row 1 of P
+    t00 = p00 + a01 * p01
+    t01 = p01 + a01 * p11
+    t02 = p02 + a01 * p12
+    t03 = p03 + a01 * p13
+    t20 = a20 * p00 + a22 * p02
+    t22 = a20 * p02 + a22 * p22
+    t23 = a20 * p03 + a22 * p23
+    t30 = a30 * p00 + a33 * p03
+    t33 = a30 * p03 + a33 * p33
+    q0, q1, q2, q3 = q
+    mean = (
+        x0 + a01 * x1,
+        y0 + a01 * y1,
+        x1,
+        y1,
+        a20 * x0 + a22 * x2,
+        a20 * y0 + a22 * y2,
+        a30 * x0 + a33 * x3,
+        a30 * y0 + a33 * y3,
+    )
+    cov = (
+        t00 + t01 * a01 + q0,
+        t01,
+        t00 * a20 + t02 * a22,
+        t00 * a30 + t03 * a33,
+        p11 + q1,
+        p01 * a20 + p12 * a22,
+        p01 * a30 + p13 * a33,
+        t20 * a20 + t22 * a22 + q2,
+        t20 * a30 + t23 * a33,
+        t30 * a30 + t33 * a33 + q3,
+    )
+    return mean, cov
+
+
 def _pd_inverse(s) -> tuple[float, ...] | None:
     """Closed-form inverse of a symmetric 1x1 ``(a,)`` or 2x2 ``(a, b, d)``.
 
@@ -181,25 +230,32 @@ def kalman_update(mean, cov, z, r):
         b10, b11, b12, b13 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02, p13 - k1 * p03
         b20, b22, b23 = p02 - k2 * p00, p22 - k2 * p02, p23 - k2 * p03
         b30, b33 = p03 - k3 * p00, p33 - k3 * p03
-        # upper triangle of B (I - KH)^T + K R K^T
+        # upper triangle of B (I - KH)^T + K R K^T; r0 * k_i * k_j is
+        # (r0 * k_i) * k_j, so the R K products are formed once
+        rk0, rk1, rk2, rk3 = r0 * k0, r0 * k1, r0 * k2, r0 * k3
         cov = (
-            b00 - b00 * k0 + r0 * k0 * k0,
-            b01 - b00 * k1 + r0 * k0 * k1,
-            b02 - b00 * k2 + r0 * k0 * k2,
-            b03 - b00 * k3 + r0 * k0 * k3,
-            b11 - b10 * k1 + r0 * k1 * k1,
-            b12 - b10 * k2 + r0 * k1 * k2,
-            b13 - b10 * k3 + r0 * k1 * k3,
-            b22 - b20 * k2 + r0 * k2 * k2,
-            b23 - b20 * k3 + r0 * k2 * k3,
-            b33 - b30 * k3 + r0 * k3 * k3,
+            b00 - b00 * k0 + rk0 * k0,
+            b01 - b00 * k1 + rk0 * k1,
+            b02 - b00 * k2 + rk0 * k2,
+            b03 - b00 * k3 + rk0 * k3,
+            b11 - b10 * k1 + rk1 * k1,
+            b12 - b10 * k2 + rk1 * k2,
+            b13 - b10 * k3 + rk1 * k3,
+            b22 - b20 * k2 + rk2 * k2,
+            b23 - b20 * k3 + rk2 * k3,
+            b33 - b30 * k3 + rk3 * k3,
         )
         return mean, cov
 
     r0, r1 = r
     zx, zy, zvx, zvy = z
-    s = (p00 + r0, p01, p11 + r1)
-    i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
+    # _pd_inverse of S written out: this branch runs at nearly every sample
+    s00, s11 = p00 + r0, p11 + r1
+    det = s00 * s11 - p01 * p01
+    if s00 > 0 and det > 0:
+        i00, i01, i11 = s11 / det, -p01 / det, s00 / det
+    else:
+        i00, i01, i11 = _jittered_pd_inverse((s00, p01, s11))
     # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
     k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
     k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
@@ -232,18 +288,20 @@ def kalman_update(mean, cov, z, r):
     b30 = p03 - k30 * p00 - k31 * p01
     b31 = p13 - k30 * p01 - k31 * p11
     b33 = p33 - k30 * p03 - k31 * p13
-    # upper triangle of B (I - KH)^T + K R K^T
+    # upper triangle of B (I - KH)^T + K R K^T, R K formed once as above
+    rk00, rk10, rk20, rk30 = r0 * k00, r0 * k10, r0 * k20, r0 * k30
+    rk01, rk11, rk21, rk31 = r1 * k01, r1 * k11, r1 * k21, r1 * k31
     cov = (
-        b00 - b00 * k00 - b01 * k01 + r0 * k00 * k00 + r1 * k01 * k01,
-        b01 - b00 * k10 - b01 * k11 + r0 * k00 * k10 + r1 * k01 * k11,
-        b02 - b00 * k20 - b01 * k21 + r0 * k00 * k20 + r1 * k01 * k21,
-        b03 - b00 * k30 - b01 * k31 + r0 * k00 * k30 + r1 * k01 * k31,
-        b11 - b10 * k10 - b11 * k11 + r0 * k10 * k10 + r1 * k11 * k11,
-        b12 - b10 * k20 - b11 * k21 + r0 * k10 * k20 + r1 * k11 * k21,
-        b13 - b10 * k30 - b11 * k31 + r0 * k10 * k30 + r1 * k11 * k31,
-        b22 - b20 * k20 - b21 * k21 + r0 * k20 * k20 + r1 * k21 * k21,
-        b23 - b20 * k30 - b21 * k31 + r0 * k20 * k30 + r1 * k21 * k31,
-        b33 - b30 * k30 - b31 * k31 + r0 * k30 * k30 + r1 * k31 * k31,
+        b00 - b00 * k00 - b01 * k01 + rk00 * k00 + rk01 * k01,
+        b01 - b00 * k10 - b01 * k11 + rk00 * k10 + rk01 * k11,
+        b02 - b00 * k20 - b01 * k21 + rk00 * k20 + rk01 * k21,
+        b03 - b00 * k30 - b01 * k31 + rk00 * k30 + rk01 * k31,
+        b11 - b10 * k10 - b11 * k11 + rk10 * k10 + rk11 * k11,
+        b12 - b10 * k20 - b11 * k21 + rk10 * k20 + rk11 * k21,
+        b13 - b10 * k30 - b11 * k31 + rk10 * k30 + rk11 * k31,
+        b22 - b20 * k20 - b21 * k21 + rk20 * k20 + rk21 * k21,
+        b23 - b20 * k30 - b21 * k31 + rk20 * k30 + rk21 * k31,
+        b33 - b30 * k30 - b31 * k31 + rk30 * k30 + rk31 * k31,
     )
     return mean, cov
 
@@ -276,10 +334,16 @@ class OpkfConfig:
     params: PlantParams = DEFAULT_PARAMS
 
 
+# the entries of the fixation Phi that are neither 0 nor 1, in the order of
+# ``_predict_fixation``'s coefficients
+_FIX_ROWS, _FIX_COLS = (0, 2, 2, 3, 3), (1, 0, 2, 0, 3)
+
+
 class _RegimeMatrices:
     """Discrete transition/process matrices per regime plus PI-ahead rows.
 
-    ``step[saccade]`` is the (phi, q) pair of float tuples that
+    ``fix_coeffs`` holds the entries of ``phi_fix`` that ``_predict_fixation``
+    takes, and ``phi_sac_flat`` the 16 floats of ``phi_sac`` that
     ``kalman_predict`` takes.
     """
 
@@ -295,22 +359,19 @@ class _RegimeMatrices:
             a_fix[row, row] = alpha
             a_fix[row, 0] = sgn * (1.0 - alpha)
         self.phi_fix = a_fix
+        # .tolist() gives Python floats; numpy scalars would be slower
+        self.fix_coeffs = tuple(a_fix[_FIX_ROWS, _FIX_COLS].tolist())
 
         phi_phys, _ = transition_matrices(p)
         scale = np.diag([1.0, 1.0, 2.0 / k, 2.0 / k])
         unscale = np.diag([1.0, 1.0, k / 2.0, k / 2.0])
         self.phi_sac = scale @ phi_phys @ unscale
+        self.phi_sac_flat = tuple(self.phi_sac.ravel().tolist())
 
         self.pi_rows: dict[tuple[bool, int], np.ndarray] = {}
         for pi in pi_list:
             self.pi_rows[(False, pi)] = np.linalg.matrix_power(self.phi_fix, pi)[0]
             self.pi_rows[(True, pi)] = np.linalg.matrix_power(self.phi_sac, pi)[0]
-
-        # .tolist() gives Python floats; numpy scalars would be slower
-        self.step = (
-            (tuple(self.phi_fix.ravel().tolist()), Q_FIXATION),
-            (tuple(self.phi_sac.ravel().tolist()), Q_SACCADE),
-        )
 
 
 def _initial_state(x: float, y: float) -> tuple[tuple, tuple]:
@@ -370,9 +431,12 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
         flat.extend(mean)
         columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
         samples = zip(saccade.tolist(), sample_ok, vel_ok, *columns)
-        step = matrices.step
+        fix_coeffs, phi_sac = matrices.fix_coeffs, matrices.phi_sac_flat
         for sac, s_ok, v_ok, x, y, vx, vy in islice(samples, start + 1, None):
-            mean, cov = kalman_predict(mean, cov, *step[sac])
+            if sac:
+                mean, cov = kalman_predict(mean, cov, phi_sac, Q_SACCADE)
+            else:
+                mean, cov = _predict_fixation(mean, cov, fix_coeffs, Q_FIXATION)
             if s_ok:
                 if v_ok:
                     mean, cov = kalman_update(mean, cov, (x, y, vx, vy), MEASUREMENT_NOISE)

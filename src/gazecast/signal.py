@@ -81,6 +81,9 @@ class GazeRecording:
             raise EmptyInputError("recording has no samples")
         if not (len(self.y) == len(self.valid) == n):
             raise AlignmentError("sample arrays have mismatched lengths")
+        if not (isinstance(self.valid, np.ndarray) and self.valid.dtype == bool):
+            got = getattr(self.valid, "dtype", type(self.valid).__name__)
+            raise DataError(f"valid must be a bool array, got {got}")
         bad = self.valid & ~(np.isfinite(self.x) & np.isfinite(self.y))
         if bad.any():
             raise DataError(f"sample {int(np.argmax(bad))} is marked valid but its position is not finite")

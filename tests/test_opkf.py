@@ -246,6 +246,52 @@ class TestKalmanPredict:
         np.testing.assert_allclose(unpack_cov(got_cov), want, rtol=1e-9, atol=1e-12)
 
 
+class TestPredictFixation:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tau_ag=st.floats(0.001, 0.5),
+        tau_ant=st.floats(0.001, 0.5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_generic_time_update(self, seed, tau_ag, tau_ant):
+        params = replace(DEFAULT_PARAMS, tau_ag_deact=tau_ag, tau_ant_act=tau_ant)
+        m = O._RegimeMatrices(O.OpkfConfig(params=params), PIS)
+        # the five coefficients are the only entries of phi_fix off 0 and 1
+        rebuilt = np.eye(4)
+        rebuilt[O._FIX_ROWS, O._FIX_COLS] = m.fix_coeffs
+        assert np.array_equal(rebuilt, m.phi_fix)
+        phi = tuple(m.phi_fix.ravel().tolist())
+        # a change of summation order shows in a few percent of states only
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            mean, cov = random_state(rng)
+            mean, cov = tuple(mean.ravel().tolist()), tuple(cov[UPPER].tolist())
+            got = O._predict_fixation(mean, cov, m.fix_coeffs, O.Q_FIXATION)
+            assert got == O.kalman_predict(mean, cov, phi, O.Q_FIXATION)
+
+    def test_filter_pass_equals_generic_step(self, reference, monkeypatch):
+        """The blink-injected reference recording reaches the 0-, 1- and
+        2-measurement branches; the predictions stay bit-equal when the
+        fixation step is the generic one."""
+        _, rec = reference
+        vel = compute_velocity(rec, DiffConfig(mode="causal"))
+        assert (~rec.valid).any() and (rec.valid & ~vel.valid).any() and vel.valid.any()
+        want = predict(rec)
+        phi = tuple(O._RegimeMatrices(O.OpkfConfig(), PIS).phi_fix.ravel().tolist())
+        calls = []
+
+        def generic(mean, cov, coeffs, q):
+            calls.append(coeffs)
+            return O.kalman_predict(mean, cov, phi, q)
+
+        monkeypatch.setattr(O, "_predict_fixation", generic)
+        got = predict(rec)
+        assert len(calls) > rec.n_samples // 2
+        for pi in PIS:
+            np.testing.assert_array_equal(got[pi].valid_mask, want[pi].valid_mask)
+            np.testing.assert_array_equal(got[pi].predicted, want[pi].predicted)
+
+
 class TestKalmanUpdate:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))
     @settings(max_examples=40, deadline=None)

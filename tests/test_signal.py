@@ -15,6 +15,7 @@ from gazecast.signal import (
     SG_WINDOW,
     ColumnMapping,
     DiffConfig,
+    GazeRecording,
     compute_velocity,
     ingest_csv,
     recording_from_arrays,
@@ -209,6 +210,12 @@ class TestRecordingInvariants:
         valid = np.ones(50, dtype=bool)
         valid[17] = False
         assert recording_from_arrays("s", x, np.zeros(50), valid=valid).valid.sum() == 49
+
+    @pytest.mark.parametrize("valid", [np.ones(10, dtype=int), np.ones(10), [True] * 10])
+    def test_non_bool_validity_rejected(self, valid):
+        # an int array would index samples instead of masking them
+        with pytest.raises(DataError, match="valid must be a bool array"):
+            GazeRecording("s", np.zeros(10), np.zeros(10), valid)
 
 
 class TestVelocity:
