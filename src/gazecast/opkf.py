@@ -249,13 +249,8 @@ def kalman_update(mean, cov, z, r):
 
     r0, r1 = r
     zx, zy, zvx, zvy = z
-    # _pd_inverse of S written out: this branch runs at nearly every sample
-    s00, s11 = p00 + r0, p11 + r1
-    det = s00 * s11 - p01 * p01
-    if s00 > 0 and det > 0:
-        i00, i01, i11 = s11 / det, -p01 / det, s00 / det
-    else:
-        i00, i01, i11 = _jittered_pd_inverse((s00, p01, s11))
+    s = (p00 + r0, p01, p11 + r1)
+    i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
     # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
     k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
     k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
