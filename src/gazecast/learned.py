@@ -23,6 +23,7 @@ layer's weight gradient is one matmul over all T·B columns after the loop.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,6 +66,24 @@ PARAM_SHAPES: dict[str, tuple[int, ...]] = {
 N_PARAMS = sum(int(np.prod(s)) for s in PARAM_SHAPES.values())  # 14418
 
 
+def _mapped_zeros(shape) -> np.ndarray:
+    """Float64 zeros in an anonymous memory mapping of their own.
+
+    The mapping is released whole when the last view of the array goes. The
+    multi-megabyte window and pass arrays otherwise come from the C heap once
+    glibc has raised its mmap threshold, and a small block left above them
+    keeps the heap from shrinking: the ``lstm`` benchmark's peak RSS then
+    rose by about 27 MB at a pass that varied from run to run.
+    """
+    n = math.prod(shape)
+    buf = mmap.mmap(-1, max(n, 1) * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # as numpy does for its own large arrays; with 4 KiB pages the
+        # benchmark's lstm passes ran about 0.5 s (12%) slower
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float, count=n).reshape(shape)
+
+
 @dataclass
 class WindowBatch:
     """Column-wise window storage; slices and index arrays select sub-batches."""
@@ -84,7 +103,13 @@ class WindowBatch:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             raise ConfigError(f"only slices and index arrays select windows, got int {key}")
-        return WindowBatch(self.inputs[key], self.targets[key], self.end_indices[key])
+        if isinstance(key, slice):
+            return WindowBatch(self.inputs[key], self.targets[key], self.end_indices[key])
+        rows = np.arange(len(self))[key]
+        inputs = _mapped_zeros(rows.shape + self.inputs.shape[1:])
+        # rows are in range; "clip" lets take write straight into ``inputs``
+        np.take(self.inputs, rows, axis=0, out=inputs, mode="clip")
+        return WindowBatch(inputs, self.targets[rows], self.end_indices[rows])
 
 
 def _check_causal(rec: GazeRecording, vel: VelocityTrace, user: str) -> None:
@@ -111,8 +136,11 @@ def _window_inputs(vel: VelocityTrace, ends: np.ndarray) -> np.ndarray:
     if ends.size == 0:  # also when the recording is shorter than a window
         return np.empty((0, WINDOW_SAMPLES, 2))
     vxy = np.column_stack([vel.vx, vel.vy])
-    view = np.lib.stride_tricks.sliding_window_view(vxy, WINDOW_SAMPLES, axis=0)
-    return np.ascontiguousarray(view[ends - (WINDOW_SAMPLES - 1)].transpose(0, 2, 1))
+    view = np.lib.stride_tricks.sliding_window_view(vxy, WINDOW_SAMPLES, axis=0).transpose(0, 2, 1)
+    out = _mapped_zeros((ends.size, WINDOW_SAMPLES, 2))
+    for s in range(0, ends.size, 512):  # blocks keep the gather's temporary small
+        out[s : s + 512] = view[ends[s : s + 512] - (WINDOW_SAMPLES - 1)]
+    return out
 
 
 def make_windows(rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> WindowBatch:
@@ -198,15 +226,15 @@ def _gate_views(z: np.ndarray):
 def _pass_buffers(layers, slots: int, rows: int, b: int):
     """Operand (bias row 1, rest 0), cell-state (0) and activation arrays.
 
-    They are views of one allocation: a 256-window training pass needs 86 MB,
-    and as one block it is mapped and released whole. As separate arrays
-    they left multi-megabyte holes in the heap, and 6 of 10 identical
-    ``lstm`` benchmark runs peaked about 25 MB higher (2 of 10 as one block).
+    They are views of one mapped block (a 256-window training pass needs
+    86 MB), so the block is released whole. As separate heap arrays they
+    left multi-megabyte holes in the heap, and 6 of 10 identical ``lstm``
+    benchmark runs peaked about 25 MB higher.
     """
     shapes = [(n_in + HIDDEN + 1, slots, b) for _, _, n_in in layers]
     shapes += [(len(layers), HIDDEN, slots, b), (len(layers), 4 * HIDDEN, rows, b)]
     sizes = [math.prod(shape) for shape in shapes]
-    parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    parts = np.split(_mapped_zeros((sum(sizes),)), np.cumsum(sizes)[:-1])
     *ops, cs, acts = (part.reshape(shape) for part, shape in zip(parts, shapes))
     for op in ops:
         op[-1] = 1.0

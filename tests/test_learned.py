@@ -90,6 +90,28 @@ class TestMakeWindows:
         with pytest.raises(ConfigError, match="slices and index arrays"):
             wb[2]
 
+    def test_index_arrays_select_like_numpy(self):
+        wb = ramp_windows(3.0, -4.0, n=400)
+        for key in (np.array([5, -1, 0, 5]), np.arange(len(wb)) % 3 == 0):
+            sub = wb[key]
+            assert np.array_equal(sub.inputs, wb.inputs[key])
+            assert np.array_equal(sub.targets, wb.targets[key])
+            assert np.array_equal(sub.end_indices, wb.end_indices[key])
+        with pytest.raises(IndexError):
+            wb[np.array([len(wb)])]
+
+    def test_inputs_are_the_trailing_velocity(self):
+        rng = np.random.default_rng(1)
+        rec = recording_from_arrays(
+            "T", np.cumsum(rng.normal(scale=0.01, size=1300)), np.cumsum(rng.normal(scale=0.01, size=1300))
+        )
+        vel = compute_velocity(rec, CAUSAL)
+        wb = L.make_windows(rec, vel, PI)
+        assert len(wb) > 1024  # the gather runs in blocks of 512 windows
+        vxy = np.column_stack([vel.vx, vel.vy])
+        expected = np.stack([vxy[e - (L.WINDOW_SAMPLES - 1) : e + 1] for e in wb.end_indices])
+        assert np.array_equal(wb.inputs, expected)
+
     @pytest.mark.parametrize("pi", [40.5, 0, -5])
     @pytest.mark.parametrize(
         "call",
