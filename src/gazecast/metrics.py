@@ -63,18 +63,9 @@ def rankdata(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         raise UndefinedStatisticError("ranks undefined for non-finite values")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # a tie group of c values ending at rank e shares the mean of e-c+1..e
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman(x, y) -> tuple[float, float]:

@@ -21,7 +21,8 @@ velocity, so every prediction issued at time t depends only on samples <= t.
 A sample without a velocity estimate measures position alone. The
 measurement matrix therefore only selects the first one or two state rows:
 the update reads the innovation covariance and the gain off the state
-covariance and inverts the 1x1 or 2x2 innovation covariance in closed form.
+covariance, inverts the 1x1 or 2x2 innovation covariance in closed form,
+and runs position alone as the two-row update with a zero velocity gain.
 
 The recursion runs on Python floats, with no numpy call per sample: at this
 size (4 states, 2 axes) the fixed cost of a numpy call outweighs its
@@ -205,6 +206,11 @@ def kalman_update(mean, cov, z, r):
     P = B (I - KH)^T + K R K^T. If S is not positive definite it is
     jittered once by (1e-9 + 1e-9 trace S) I, which is logged; if that
     does not help, InstabilityError.
+
+    Position alone zeroes the velocity entries of S^-1, the velocity
+    innovation and the velocity variance. K's velocity column is then
+    exactly 0.0 and every term it enters adds or subtracts an exact zero,
+    so for a finite P the result is the one-row update's but for zero signs.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = mean
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
@@ -213,50 +219,19 @@ def kalman_update(mean, cov, z, r):
         zx, zy = z
         s = (p00 + r0,)
         (i00,) = _pd_inverse(s) or _jittered_pd_inverse(s)
-        k0, k1, k2, k3 = p00 * i00, p01 * i00, p02 * i00, p03 * i00
-        ex, ey = zx - x0, zy - y0
-        mean = (
-            x0 + k0 * ex,
-            y0 + k0 * ey,
-            x1 + k1 * ex,
-            y1 + k1 * ey,
-            x2 + k2 * ex,
-            y2 + k2 * ey,
-            x3 + k3 * ex,
-            y3 + k3 * ey,
-        )
-        # B = (I - KH) P: row i of P minus k_i times row 0
-        b00, b01, b02, b03 = p00 - k0 * p00, p01 - k0 * p01, p02 - k0 * p02, p03 - k0 * p03
-        b10, b11, b12, b13 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02, p13 - k1 * p03
-        b20, b22, b23 = p02 - k2 * p00, p22 - k2 * p02, p23 - k2 * p03
-        b30, b33 = p03 - k3 * p00, p33 - k3 * p03
-        # upper triangle of B (I - KH)^T + K R K^T; r0 * k_i * k_j is
-        # (r0 * k_i) * k_j, so the R K products are formed once
-        rk0, rk1, rk2, rk3 = r0 * k0, r0 * k1, r0 * k2, r0 * k3
-        cov = (
-            b00 - b00 * k0 + rk0 * k0,
-            b01 - b00 * k1 + rk0 * k1,
-            b02 - b00 * k2 + rk0 * k2,
-            b03 - b00 * k3 + rk0 * k3,
-            b11 - b10 * k1 + rk1 * k1,
-            b12 - b10 * k2 + rk1 * k2,
-            b13 - b10 * k3 + rk1 * k3,
-            b22 - b20 * k2 + rk2 * k2,
-            b23 - b20 * k3 + rk2 * k3,
-            b33 - b30 * k3 + rk3 * k3,
-        )
-        return mean, cov
-
-    r0, r1 = r
-    zx, zy, zvx, zvy = z
-    s = (p00 + r0, p01, p11 + r1)
-    i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
+        i01 = i11 = evx = evy = r1 = 0.0
+    else:
+        r0, r1 = r
+        zx, zy, zvx, zvy = z
+        s = (p00 + r0, p01, p11 + r1)
+        i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
+        evx, evy = zvx - x1, zvy - y1
     # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
     k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
     k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
     k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
     k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
-    ex, ey, evx, evy = zx - x0, zy - y0, zvx - x1, zvy - y1
+    ex, ey = zx - x0, zy - y0
     mean = (
         x0 + k00 * ex + k01 * evx,
         y0 + k00 * ey + k01 * evy,
@@ -283,7 +258,7 @@ def kalman_update(mean, cov, z, r):
     b30 = p03 - k30 * p00 - k31 * p01
     b31 = p13 - k30 * p01 - k31 * p11
     b33 = p33 - k30 * p03 - k31 * p13
-    # upper triangle of B (I - KH)^T + K R K^T, R K formed once as above
+    # upper triangle of B (I - KH)^T + K R K^T, each r_j * k_ij formed once
     rk00, rk10, rk20, rk30 = r0 * k00, r0 * k10, r0 * k20, r0 * k30
     rk01, rk11, rk21, rk31 = r1 * k01, r1 * k11, r1 * k21, r1 * k31
     cov = (

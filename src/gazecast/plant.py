@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .classify import FIXATION, ONSET_OFFSET_THRESHOLD, SACCADE, EventSegment, segments_from_labels
-from .errors import ConfigError, FitError, InstabilityError
+from .errors import ConfigError, InstabilityError
 from .signal import GazeRecording, recording_from_arrays
 
 SETTLE_SUSTAIN_MS = 20  # whole ms: the simulator's grid is 1 ms
@@ -262,13 +262,13 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be >= 1")
-        if self.duration_s < 2.0:
-            raise ConfigError("duration_s must be >= 2 s (one target hold plus margin)")
+        if not (np.isfinite(self.duration_s) and self.duration_s >= 2.0):
+            raise ConfigError("duration_s must be finite and >= 2 s (one target hold plus margin)")
         if self.noise_sigma_per_subject is not None:
             if len(self.noise_sigma_per_subject) != self.n_subjects:
                 raise ConfigError("noise_sigma_per_subject length must equal n_subjects")
-            if any(s < 0 for s in self.noise_sigma_per_subject):
-                raise ConfigError("noise sigmas must be >= 0")
+            if not all(np.isfinite(s) and s >= 0 for s in self.noise_sigma_per_subject):
+                raise ConfigError("noise sigmas must be finite and >= 0")
 
     def subject_sigmas(self) -> np.ndarray:
         if self.noise_sigma_per_subject is not None:
@@ -420,7 +420,7 @@ def _simulate_subject(
     return CohortMember(recording=rec, truth=truth, noise_sigma=float(sigma), params=params)
 
 
-def generate_cohort(cfg: SynthConfig, param_sampler=default_param_sampler) -> list[CohortMember]:
+def generate_cohort(cfg: SynthConfig) -> list[CohortMember]:
     """Deterministic labeled cohort; per-subject RNG streams from the seed.
 
     Every subject views the same target sequence (one stimulus protocol for
@@ -434,16 +434,6 @@ def generate_cohort(cfg: SynthConfig, param_sampler=default_param_sampler) -> li
     members = []
     for i, (ss, sigma) in enumerate(zip(streams, sigmas)):
         rng = np.random.default_rng(ss)
-        params = None
-        for attempt in range(10):
-            cand = param_sampler(rng)
-            try:
-                simulate_saccade(cand, 0.0, 10.0)
-            except InstabilityError:
-                continue
-            params = cand
-            break
-        if params is None:
-            raise FitError(f"no stable plant parameters after 10 draws for subject {i}")
+        params = default_param_sampler(rng)
         members.append(_simulate_subject(rng, n, params, float(sigma), f"S{i + 1:03d}", targets))
     return members

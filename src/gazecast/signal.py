@@ -66,7 +66,7 @@ class GazeRecording:
 
     Samples are stored as parallel arrays; ``x``/``y`` hold NaN where
     ``valid`` is False. ``targets`` optionally lists stimulus steps as rows
-    of (sample index, x_dva, y_dva), one row per target change.
+    of (sample index, x_dva, y_dva), one row per target change, in onset order.
     """
 
     subject_id: str
@@ -87,6 +87,16 @@ class GazeRecording:
         bad = self.valid & ~(np.isfinite(self.x) & np.isfinite(self.y))
         if bad.any():
             raise DataError(f"sample {int(np.argmax(bad))} is marked valid but its position is not finite")
+        t = self.targets
+        if t is not None and not (
+            isinstance(t, np.ndarray)
+            and t.dtype.kind in "fiu"
+            and t.ndim == 2
+            and t.shape[1] == 3
+            and np.isfinite(t).all()
+            and (np.diff(t[:, 0]) >= 0).all()
+        ):
+            raise DataError("targets must be a finite (k, 3) array of (onset, x, y) rows with non-decreasing onsets")
 
     @property
     def n_samples(self) -> int:

@@ -186,9 +186,10 @@ class TestInvariancesAndCohort:
         assert moved.mn_vel_r_md == pytest.approx(base.mn_vel_r_md, rel=1e-9)
         assert moved.precision_dva == pytest.approx(base.precision_dva, rel=1e-9)
 
-    def test_speed_scaling_raises_velocity_features(self):
+    def test_speed_scaling_raises_velocity_features(self, monkeypatch):
         import dataclasses
 
+        from gazecast import plant
         from gazecast.plant import DEFAULT_PARAMS, SynthConfig, generate_cohort
 
         feats = []
@@ -204,7 +205,8 @@ class TestInvariancesAndCohort:
                 rng_seed=11,
                 noise_sigma_per_subject=(0.1,),
             )
-            member = generate_cohort(cfg, sampler)[0]
+            monkeypatch.setattr(plant, "default_param_sampler", sampler)
+            member = generate_cohort(cfg)[0]
             vel = compute_velocity(member.recording)
             segs = classify_events(member.recording, vel)
             feats.append(pk_vel_dur_ratio_r_md(segs))

@@ -199,6 +199,47 @@ def dense_update(mean, cov, z, r):
     return mean + gain @ (z - h @ mean), 0.5 * (new_cov + new_cov.T)
 
 
+def position_only_update(mean, cov, z, r):
+    """The one-row Joseph update that ``kalman_update`` ran for position-only
+    samples before both cases shared the two-row algebra; packed in and out."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    (r0,) = r
+    zx, zy = z
+    s = (p00 + r0,)
+    (i00,) = O._pd_inverse(s) or O._jittered_pd_inverse(s)
+    k0, k1, k2, k3 = p00 * i00, p01 * i00, p02 * i00, p03 * i00
+    ex, ey = zx - x0, zy - y0
+    mean = (
+        x0 + k0 * ex,
+        y0 + k0 * ey,
+        x1 + k1 * ex,
+        y1 + k1 * ey,
+        x2 + k2 * ex,
+        y2 + k2 * ey,
+        x3 + k3 * ex,
+        y3 + k3 * ey,
+    )
+    b00, b01, b02, b03 = p00 - k0 * p00, p01 - k0 * p01, p02 - k0 * p02, p03 - k0 * p03
+    b10, b11, b12, b13 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02, p13 - k1 * p03
+    b20, b22, b23 = p02 - k2 * p00, p22 - k2 * p02, p23 - k2 * p03
+    b30, b33 = p03 - k3 * p00, p33 - k3 * p03
+    rk0, rk1, rk2, rk3 = r0 * k0, r0 * k1, r0 * k2, r0 * k3
+    cov = (
+        b00 - b00 * k0 + rk0 * k0,
+        b01 - b00 * k1 + rk0 * k1,
+        b02 - b00 * k2 + rk0 * k2,
+        b03 - b00 * k3 + rk0 * k3,
+        b11 - b10 * k1 + rk1 * k1,
+        b12 - b10 * k2 + rk1 * k2,
+        b13 - b10 * k3 + rk1 * k3,
+        b22 - b20 * k2 + rk2 * k2,
+        b23 - b20 * k3 + rk2 * k3,
+        b33 - b30 * k3 + rk3 * k3,
+    )
+    return mean, cov
+
+
 UPPER = np.triu_indices(4)
 
 
@@ -325,6 +366,61 @@ class TestKalmanUpdate:
         cov[0, 1] = cov[1, 0] = 2.0  # det of the position/velocity block is -3
         with pytest.raises(InstabilityError):
             update(np.zeros((4, 2)), cov, np.ones((2, 2)), np.zeros((2, 2)))
+
+
+class TestPositionOnlyUpdate:
+    """The position-only update runs the two-row algebra with a zero
+    velocity gain; its results equal the one-row update's (``==`` holds
+    for zeros of either sign)."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_row_update(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            mean, cov = random_state(rng)
+            mean, cov = tuple(mean.ravel().tolist()), tuple(cov[UPPER].tolist())
+            z, r = tuple(rng.normal(size=2).tolist()), (float(rng.uniform(0.01, 1.0)),)
+            assert O.kalman_update(mean, cov, z, r) == position_only_update(mean, cov, z, r)
+
+    def test_start_covariance_equals_one_row_update(self, caplog):
+        # the start covariance's exact zeros, some of which one fixation
+        # step keeps, are where the sign of a zero could differ; a zero S
+        # takes the jitter path
+        mean, cov = O._initial_state(1.5, -2.0)
+        coeffs = O._RegimeMatrices(O.OpkfConfig(), PIS).fix_coeffs
+        stepped = O._predict_fixation(mean, cov, coeffs, O.Q_FIXATION)
+        cases = [
+            (mean, cov, O.MEASUREMENT_NOISE[:1]),
+            (*stepped, O.MEASUREMENT_NOISE[:1]),
+            (mean, (0.0,) + cov[1:], (0.0,)),
+        ]
+        z = (1.7, -2.2)
+        with caplog.at_level(logging.WARNING, logger="gazecast.opkf"):
+            for m, c, r in cases:
+                assert O.kalman_update(m, c, z, r) == position_only_update(m, c, z, r)
+        assert len([rec for rec in caplog.records if rec.name == "gazecast.opkf"]) == 2
+
+    def test_filter_pass_equals_one_row_update(self, reference, monkeypatch):
+        """The blink-injected reference recording updates position alone
+        after each blink; its predictions are unchanged when those updates
+        run the one-row form."""
+        _, rec = reference
+        want = predict(rec)
+        merged, calls = O.kalman_update, []
+
+        def one_row(mean, cov, z, r):
+            if len(r) == 1:
+                calls.append(r)
+                return position_only_update(mean, cov, z, r)
+            return merged(mean, cov, z, r)
+
+        monkeypatch.setattr(O, "kalman_update", one_row)
+        got = predict(rec)
+        assert calls
+        for pi in PIS:
+            np.testing.assert_array_equal(got[pi].valid_mask, want[pi].valid_mask)
+            np.testing.assert_array_equal(got[pi].predicted, want[pi].predicted)
 
 
 class TestNelderMead:

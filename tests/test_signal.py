@@ -217,6 +217,26 @@ class TestRecordingInvariants:
         with pytest.raises(DataError, match="valid must be a bool array"):
             GazeRecording("s", np.zeros(10), np.zeros(10), valid)
 
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            np.array([0.0, 1.0, 2.0]),  # 1-D: an IndexError in data_quality
+            np.array([[0.0, 1.0], [500.0, 2.0]]),  # no y column: a ValueError there
+            np.array([[0.0, 1.0, 2.0], [500.0, np.nan, 2.0]]),
+            np.array([[500.0, 1.0, 2.0], [0.0, 3.0, 4.0]]),  # onsets out of order
+            [[0.0, 1.0, 2.0]],
+        ],
+    )
+    def test_malformed_targets_rejected(self, targets):
+        with pytest.raises(DataError, match="targets"):
+            recording_from_arrays("s", np.zeros(10), np.zeros(10), targets=targets)
+
+    def test_targets_accepted(self):
+        tied = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [7.0, 5.0, 6.0]])
+        assert recording_from_arrays("s", np.zeros(10), np.zeros(10), targets=tied).targets is tied
+        empty = np.empty((0, 3))
+        assert recording_from_arrays("s", np.zeros(10), np.zeros(10), targets=empty).targets is empty
+
 
 class TestVelocity:
     def test_constant_position_zero_velocity(self):
