@@ -4,6 +4,8 @@ Three broad families map onto CLI exit codes: configuration problems (2),
 data problems (3), and numerical failures (4).
 """
 
+import numbers
+
 
 class GazecastError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +13,12 @@ class GazecastError(Exception):
 
 class ConfigError(GazecastError):
     """Invalid or inconsistent configuration."""
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class DataError(GazecastError):

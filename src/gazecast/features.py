@@ -41,9 +41,9 @@ def fixation_noise_threshold(
     if len(vel.v_radial) != n:
         raise AlignmentError("velocity trace misaligned with recording")
     values = vel.v_radial[(event_labels(segs, n) == FIXATION) & vel.valid]
-    if values.size < 100:
+    if values.size < MIN_FIXATION_SAMPLES:
         raise InsufficientDataError(
-            f"need >= 100 valid fixation samples for the noise threshold, got {values.size}"
+            f"need >= {MIN_FIXATION_SAMPLES} valid fixation samples for the noise threshold, got {values.size}"
         )
     return quantile(values, 0.9)
 
@@ -116,13 +116,6 @@ def subject_features(
     rec: GazeRecording, vel: VelocityTrace, segs: list[EventSegment]
 ) -> SubjectFeatures:
     """Feature bundle for one subject; raises when event counts fall short."""
-    n_fix = sum(
-        s.n_samples for s in segs if s.kind is EventKind.FIXATION
-    )
-    if n_fix < MIN_FIXATION_SAMPLES:
-        raise InsufficientDataError(
-            f"need >= {MIN_FIXATION_SAMPLES} fixation samples, got {n_fix}"
-        )
     accuracy, precision = data_quality(rec, segs)
     return SubjectFeatures(
         subject_id=rec.subject_id,

@@ -18,6 +18,8 @@ block is a run of contiguous rows. Training keeps the operands, activations
 and cell states of every step in views of one preallocated block; BPTT
 overwrites each spent activation slot with its gate gradient, so each
 layer's weight gradient is one matmul over all T·B columns after the loop.
+Inference runs through ``lstm_forward``, ``INFER_CHUNK`` windows per pass,
+so its pass buffers do not grow with the number of windows.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError
+from .errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError, check_int
 from .metrics import PredictionRun, _check_pi
 from .signal import GazeRecording, VelocityTrace
 
 WINDOW_SAMPLES = 100
 HIDDEN = 32
+INFER_CHUNK = 4096  # windows per inference pass
 
 # velocities arrive in dva/s; the net sees dva/ms so the inputs live in a
 # range where the gate nonlinearities are not saturated from the start
@@ -300,14 +303,19 @@ def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool):
 
 
 def lstm_forward(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
-    """Predict displacement for one window (T, 2) or a batch (B, T, 2)."""
+    """Predict displacement for one window (T, 2) or a batch (B, T, 2).
+
+    Each forward pass takes at most INFER_CHUNK windows.
+    """
     xs = np.asarray(inputs, dtype=float)
     single = xs.ndim == 2
     if single:
         xs = xs[None]
     if xs.ndim != 3 or xs.shape[-1] != 2 or xs.shape[1] < 1:
         raise ConfigError(f"expected windows shaped (B, T, 2), got {np.shape(inputs)}")
-    pred, _ = _forward(model, xs, want_cache=False)
+    pred = np.empty((len(xs), 2))
+    for s in range(0, len(xs), INFER_CHUNK):
+        pred[s : s + INFER_CHUNK] = _forward(model, xs[s : s + INFER_CHUNK], want_cache=False)[0]
     return pred[0] if single else pred
 
 
@@ -383,17 +391,11 @@ def loss_and_grad(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
     return loss, grads
 
 
-def evaluate_loss(model: LstmModel, windows, chunk: int = 4096) -> float:
+def evaluate_loss(model: LstmModel, windows) -> float:
     """Mean Euclidean distance over a window batch, forward-only."""
-    n = len(windows.inputs)
-    if n == 0:
+    if len(windows.inputs) == 0:
         raise EmptyInputError("no windows to evaluate")
-    total = 0.0
-    for s in range(0, n, chunk):
-        pred, _ = _forward(model, np.asarray(windows.inputs[s : s + chunk], dtype=float), False)
-        diff = pred - windows.targets[s : s + chunk]
-        total += float(np.hypot(diff[:, 0], diff[:, 1]).sum())
-    return total / n
+    return _loss_grad_from_pred(lstm_forward(model, windows.inputs), windows.targets)[0]
 
 
 def gradient_check(
@@ -410,6 +412,9 @@ def gradient_check(
     checks every k-th entry of each tensor (still touching all tensors) for
     quick partial runs; 1 checks every parameter.
     """
+    check_int("entry_stride", entry_stride, 1)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
     xs = np.asarray(inputs, dtype=float)
     ys = np.asarray(targets, dtype=float)
     _, grads = loss_and_grad(model, xs, ys)
@@ -452,10 +457,10 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.lr <= 0:
-            raise ConfigError("batch_size and epochs must be >= 1 and lr > 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("patience", 1), ("rng_seed", 0)):
+            check_int(name, getattr(self, name), least)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 class EpochStats(NamedTuple):
@@ -567,24 +572,16 @@ def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, p
     return PredictionRun.from_issued(rec, pi_ms, predicted, issued)
 
 
-def lstm_predict_recording(
-    model: LstmModel,
-    rec: GazeRecording,
-    vel: VelocityTrace,
-    pi_ms: int,
-    chunk: int = 4096,
-) -> PredictionRun:
+def lstm_predict_recording(model: LstmModel, rec: GazeRecording, vel: VelocityTrace, pi_ms: int) -> PredictionRun:
     """Causal pass: at each sample with a clean trailing window, position +
     predicted displacement."""
     _check_pi(pi_ms)
     n = rec.n_samples
     ends = _valid_window_ends(rec, vel)
+    disp = lstm_forward(model, _window_inputs(vel, ends))
     predicted = np.full((n, 2), np.nan)
-    for s in range(0, ends.size, chunk):
-        sel = ends[s : s + chunk]
-        disp, _ = _forward(model, _window_inputs(vel, sel), want_cache=False)
-        predicted[sel, 0] = rec.x[sel] + disp[:, 0]
-        predicted[sel, 1] = rec.y[sel] + disp[:, 1]
+    predicted[ends, 0] = rec.x[ends] + disp[:, 0]
+    predicted[ends, 1] = rec.y[ends] + disp[:, 1]
     issued = np.zeros(n, dtype=bool)
     issued[ends] = True
     return PredictionRun.from_issued(rec, pi_ms, predicted, issued)

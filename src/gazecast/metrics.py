@@ -11,7 +11,6 @@ expanded once per call.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,9 +21,11 @@ from .classify import BLINK, FIXATION, LARGE_SACCADE, SACCADE, EventSegment, eve
 from .errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     EmptyInputError,
     InsufficientDataError,
     UndefinedStatisticError,
+    check_int,
 )
 from .signal import GazeRecording
 
@@ -37,12 +38,17 @@ MIN_RECORDS = 30  # errors a subject needs in a class to enter subject_stats
 
 
 def quantile(values, p: float) -> float:
-    """Order-statistic quantile with linear interpolation at rank (n-1)*p."""
+    """Order-statistic quantile with linear interpolation at rank (n-1)*p.
+
+    A NaN or infinite value has no rank and raises UndefinedStatisticError.
+    """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"quantile level must be in [0, 1], got {p}")
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise InsufficientDataError("quantile of empty data")
+    if not np.isfinite(v).all():
+        raise UndefinedStatisticError("quantile undefined for non-finite values")
     v = np.sort(v)
     h = (v.size - 1) * p
     lo = int(np.floor(h))
@@ -150,8 +156,7 @@ def kendall_w(scores) -> float:
 
 
 def _check_pi(pi_ms) -> None:
-    if not isinstance(pi_ms, numbers.Integral) or pi_ms < 1:
-        raise ConfigError(f"pi_ms must be an integer >= 1, got {pi_ms!r}")
+    check_int("pi_ms", pi_ms, 1)
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,7 @@ class PredictionRun:
     valid_mask: np.ndarray
 
     def __post_init__(self):
+        _check_pi(self.pi_ms)
         n = len(self.valid_mask)
         if self.predicted.shape != (n, 2):
             raise ConfigError("predicted must be (n, 2) aligned with valid_mask")
@@ -220,7 +226,10 @@ def _check_tiling(segs: Sequence[EventSegment], n: int) -> None:
 
 
 def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegment]) -> ScoredRun:
-    """Score every unmasked prediction of a run against the recording."""
+    """Score every unmasked prediction of a run against the recording.
+
+    A scored prediction that is not finite raises DataError.
+    """
     n = len(rec.x)
     pred = np.asarray(run.predicted, dtype=float)
     mask = np.asarray(run.valid_mask, dtype=bool)
@@ -229,7 +238,7 @@ def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegmen
             f"run shaped {pred.shape}/{mask.shape} does not align with {n}-sample recording"
         )
     _check_tiling(segs, n)
-    pi = int(run.pi_ms)
+    pi = run.pi_ms
 
     idx = np.flatnonzero(mask)
     tgt = idx + pi
@@ -240,6 +249,8 @@ def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegmen
     ok = rec.valid[tgt]
     idx, tgt = idx[ok], tgt[ok]
     err = np.hypot(pred[idx, 0] - rec.x[tgt], pred[idx, 1] - rec.y[tgt])
+    if not np.isfinite(err).all():
+        raise DataError(f"prediction {int(idx[~np.isfinite(err)][0])} is flagged valid but its error is not finite")
     return ScoredRun(tgt, err)
 
 

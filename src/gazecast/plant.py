@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .classify import FIXATION, ONSET_OFFSET_THRESHOLD, SACCADE, EventSegment, segments_from_labels
-from .errors import ConfigError, InstabilityError
+from .errors import ConfigError, InstabilityError, check_int
 from .signal import GazeRecording, recording_from_arrays
 
 SETTLE_SUSTAIN_MS = 20  # whole ms: the simulator's grid is 1 ms
@@ -260,8 +260,8 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_subjects < 1:
-            raise ConfigError("n_subjects must be >= 1")
+        check_int("n_subjects", self.n_subjects, 1)
+        check_int("rng_seed", self.rng_seed, 0)
         if not (np.isfinite(self.duration_s) and self.duration_s >= 2.0):
             raise ConfigError("duration_s must be finite and >= 2 s (one target hold plus margin)")
         if self.noise_sigma_per_subject is not None:

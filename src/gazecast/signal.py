@@ -76,14 +76,16 @@ class GazeRecording:
     targets: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, kind, word in (("x", "f", "float"), ("y", "f", "float"), ("valid", "b", "bool")):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype.kind == kind and a.ndim == 1):
+                got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+                raise DataError(f"{name} must be a {word} array with one axis, got {got}")
         n = len(self.x)
         if n == 0:
             raise EmptyInputError("recording has no samples")
         if not (len(self.y) == len(self.valid) == n):
             raise AlignmentError("sample arrays have mismatched lengths")
-        if not (isinstance(self.valid, np.ndarray) and self.valid.dtype == bool):
-            got = getattr(self.valid, "dtype", type(self.valid).__name__)
-            raise DataError(f"valid must be a bool array, got {got}")
         bad = self.valid & ~(np.isfinite(self.x) & np.isfinite(self.y))
         if bad.any():
             raise DataError(f"sample {int(np.argmax(bad))} is marked valid but its position is not finite")

@@ -1,9 +1,10 @@
-"""The benchmark's output check for the ``cohort`` workload at seed 0.
+"""The benchmark's output check for both workloads at seed 0.
 
-One pass of ``bench/workloads.py``'s OPKF study (10 subjects x 12 s) must
-match the committed ``bench/refs/cohort.json`` summary for that seed, so
-output drift in the OPKF, scoring or statistics fails here and not only in
-a benchmark run. The bench modules are imported read-only.
+One pass of ``bench/workloads.py``'s OPKF study (10 subjects x 12 s) and
+one of its LSTM workload must match the committed ``bench/refs/<name>.json``
+summaries for that seed, so output drift in the OPKF, the LSTM, scoring or
+statistics fails here and not only in a benchmark run. The bench modules
+are imported read-only.
 """
 
 import sys
@@ -19,6 +20,15 @@ from workloads import WORKLOADS, Ops  # noqa: E402
 
 def test_cohort_pass_matches_reference_at_seed_0():
     workload = WORKLOADS["cohort"]
+    cohort = plant.generate_cohort(workload.synth_config(0))
+    summary = workload.run_pass(cohort, Ops(), 0).summary
+    ok, why = reference.check(workload, 0, summary)
+    assert ok, why
+
+
+def test_lstm_pass_matches_reference_at_seed_0():
+    # training, the held-out evaluate_loss and lstm_predict_recording
+    workload = WORKLOADS["lstm"]
     cohort = plant.generate_cohort(workload.synth_config(0))
     summary = workload.run_pass(cohort, Ops(), 0).summary
     ok, why = reference.check(workload, 0, summary)

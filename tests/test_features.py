@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gazecast.classify import EventKind, EventSegment, SaccadeProps, classify_events
+from gazecast import features
 from gazecast.errors import InsufficientDataError
 from gazecast.features import (
     data_quality,
+    fixation_noise_threshold,
     mn_vel_r_md,
     pk_vel_dur_ratio_r_md,
     subject_features,
@@ -158,6 +160,24 @@ class TestDataQuality:
         assert acc == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(InsufficientDataError):
             data_quality(rec, segs[:2])
+
+
+class TestFixationNoiseThreshold:
+    def test_fixation_sample_floor_is_min_fixation_samples(self, monkeypatch):
+        # 80 fixation samples, all with valid velocity
+        n = 200
+        x = np.sin(np.arange(n) / 7.0)
+        rec = recording_from_arrays("s", x, np.zeros(n))
+        segs = [
+            EventSegment(EventKind.OTHER, 0, 99),
+            EventSegment(EventKind.FIXATION, 100, 179),
+            EventSegment(EventKind.OTHER, 180, n - 1),
+        ]
+        vel = compute_velocity(rec)
+        with pytest.raises(InsufficientDataError, match="need >= 100 valid fixation samples"):
+            fixation_noise_threshold(rec, vel, segs)
+        monkeypatch.setattr(features, "MIN_FIXATION_SAMPLES", 80)
+        assert fixation_noise_threshold(rec, vel, segs) > 0.0
 
 
 class TestInvariancesAndCohort:

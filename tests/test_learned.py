@@ -8,7 +8,9 @@ import pytest
 
 from conftest import kink_free_lstm_fixture
 from gazecast import learned as L
-from gazecast.errors import ConfigError, DivergenceError, EmptyInputError
+from gazecast.classify import EventKind, EventSegment
+from gazecast.errors import ConfigError, DataError, DivergenceError, EmptyInputError
+from gazecast.metrics import score_run
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
 PI = 40
@@ -210,6 +212,23 @@ class TestForward:
         for i in range(4):
             assert np.allclose(L.lstm_forward(model, xs[i]), batch[i], atol=1e-12)
 
+    def test_forward_passes_at_most_infer_chunk_windows(self, monkeypatch):
+        model = L.LstmModel.init_seeded(4)
+        xs = np.random.default_rng(5).normal(scale=100.0, size=(20, 30, 2))
+        whole = L.lstm_forward(model, xs)
+        sizes = []
+        forward = L._forward
+
+        def counting_forward(model, xs, want_cache):
+            sizes.append(len(xs))
+            return forward(model, xs, want_cache)
+
+        monkeypatch.setattr(L, "_forward", counting_forward)
+        monkeypatch.setattr(L, "INFER_CHUNK", 7)
+        chunked = L.lstm_forward(model, xs)
+        assert sizes == [7, 7, 6]
+        assert np.allclose(chunked, whole, atol=1e-12)
+
     def test_shape_errors(self):
         model = L.LstmModel.init_seeded(0)
         with pytest.raises(ConfigError):
@@ -287,6 +306,39 @@ class TestLossAndGradient:
         worst = L.gradient_check(model, xs, ys, eps=1e-5, entry_stride=24)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize(
+        "eps, entry_stride",
+        [(1e-5, -1), (1e-5, 0), (1e-5, 2.5), (1e-5, True), (0.0, 1), (-1e-5, 1), (math.nan, 1), (math.inf, 1)],
+    )
+    def test_gradient_check_rejects_vacuous_settings(self, eps, entry_stride):
+        # unchecked, a negative stride checks no entry and reports a perfect gradient
+        model, xs, ys = kink_free_lstm_fixture()
+        with pytest.raises(ConfigError):
+            L.gradient_check(model, xs, ys, eps=eps, entry_stride=entry_stride)
+
+
+class TestEvaluateLoss:
+    @staticmethod
+    def windows(n):
+        rng = np.random.default_rng(8)
+        return L.WindowBatch(
+            rng.normal(scale=80.0, size=(n, 12, 2)), rng.normal(scale=0.4, size=(n, 2)), np.arange(n)
+        )
+
+    def test_equals_single_pass_sum_over_n(self):
+        model = L.LstmModel.init_seeded(5)
+        wb = self.windows(50)
+        diff = L.lstm_forward(model, wb.inputs) - wb.targets
+        assert L.evaluate_loss(model, wb) == (0.0 + float(np.hypot(diff[:, 0], diff[:, 1]).sum())) / 50
+
+    def test_many_passes_give_the_mean_distance(self, monkeypatch):
+        model = L.LstmModel.init_seeded(5)
+        wb = self.windows(50)
+        pred = np.array([L.lstm_forward(model, x) for x in wb.inputs])
+        mean = float(np.mean(np.hypot(*(pred - wb.targets).T)))
+        monkeypatch.setattr(L, "INFER_CHUNK", 16)
+        assert L.evaluate_loss(model, wb) == pytest.approx(mean, rel=1e-12)
+
 
 class TestTraining:
     def test_shuffle_is_permutation(self):
@@ -324,6 +376,25 @@ class TestTraining:
         model = L.LstmModel.init_seeded(1)
         with pytest.raises(DivergenceError, match="epoch 0"):
             L.lstm_train(model, broken, L.TrainConfig(batch_size=1024, epochs=1))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("batch_size", 2.5),
+            ("batch_size", True),
+            ("epochs", 1.5),
+            ("epochs", 0),
+            ("patience", 0),
+            ("rng_seed", -1),
+            ("rng_seed", 0.5),
+            ("lr", math.nan),
+            ("lr", math.inf),
+            ("lr", 0.0),
+        ],
+    )
+    def test_config_rejects_bad_values(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            L.TrainConfig(**{field: bad})
 
     def test_empty_training_set(self):
         empty = L.WindowBatch(np.empty((0, 100, 2)), np.empty((0, 2)), np.empty(0, dtype=int))
@@ -426,11 +497,23 @@ class TestLstmPredictRecording:
         assert np.array_equal(run.predicted[idx, 1], rec.y[idx])
         assert not run.valid_mask[400 - PI :].any()
 
-    def test_chunked_equals_single_pass(self):
+    def test_chunked_equals_single_pass(self, monkeypatch):
         rec = ramp_recording(-4.0, 7.0, 450)
         vel = compute_velocity(rec, CAUSAL)
         model = L.LstmModel.init_seeded(6)
-        a = L.lstm_predict_recording(model, rec, vel, PI, chunk=64)
-        b = L.lstm_predict_recording(model, rec, vel, PI, chunk=100000)
+        monkeypatch.setattr(L, "INFER_CHUNK", 64)
+        a = L.lstm_predict_recording(model, rec, vel, PI)
+        monkeypatch.setattr(L, "INFER_CHUNK", 100000)
+        b = L.lstm_predict_recording(model, rec, vel, PI)
         assert np.array_equal(a.valid_mask, b.valid_mask)
         assert np.allclose(a.predicted, b.predicted, atol=1e-12, equal_nan=True)
+
+    def test_nan_model_fails_scoring(self):
+        # every flagged prediction is NaN; unchecked, scoring returns NaN errors
+        rec = ramp_recording(-4.0, 7.0, 450)
+        vel = compute_velocity(rec, CAUSAL)
+        model = L.LstmModel({k: np.full(s, np.nan) for k, s in L.PARAM_SHAPES.items()})
+        run = L.lstm_predict_recording(model, rec, vel, PI)
+        first = int(np.flatnonzero(run.valid_mask)[0])
+        with pytest.raises(DataError, match=f"prediction {first} "):
+            score_run(run, rec, [EventSegment(EventKind.FIXATION, 0, 449)])

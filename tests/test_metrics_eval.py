@@ -10,8 +10,10 @@ from gazecast.classify import EventKind, EventSegment, SaccadeProps, classify_ev
 from gazecast.errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     EmptyInputError,
     InsufficientDataError,
+    UndefinedStatisticError,
 )
 from gazecast.learned import baseline_predict
 from gazecast.opkf import OpkfConfig, opkf_predict_multi
@@ -111,6 +113,27 @@ class TestScoreRun:
         mask[121] = True
         table = M.score_run(run_from(predicted, mask, 40), rec, three_part_segs(n))
         assert table.sample_idx.tolist() == [161]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_flagged_prediction_rejected(self, bad):
+        n = 300
+        valid = np.ones(n, dtype=bool)
+        valid[160] = False
+        rec = recording_from_arrays("S", np.zeros(n), np.zeros(n), valid=valid)
+        predicted = np.zeros((n, 2))
+        predicted[[120, 130, 140], 1] = bad
+        mask = np.zeros(n, dtype=bool)
+        mask[[110, 120]] = True  # 120 targets the invalid sample, so it is dropped
+        assert M.score_run(run_from(predicted, mask, 40), rec, three_part_segs(n)).sample_idx.tolist() == [150]
+        mask[[130, 140]] = True
+        with pytest.raises(DataError, match="prediction 130 "):
+            M.score_run(run_from(predicted, mask, 40), rec, three_part_segs(n))
+
+    @pytest.mark.parametrize("pi", [-5, 0, 2.7, True, "40"])
+    def test_run_rejects_bad_pi(self, pi):
+        # unchecked, pi_ms=-5 scores every row against wrapped negative target indices
+        with pytest.raises(ConfigError, match="pi_ms"):
+            run_from(np.zeros((200, 2)), np.ones(200, dtype=bool), pi)
 
     def test_alignment_errors(self):
         n = 300
@@ -322,6 +345,13 @@ class TestSubjectStats:
             M.subject_stats({"S1": np.full(40, 1.0)}, "everything")
         with pytest.raises(InsufficientDataError):
             M.subject_stats({"S1": np.full(5, 1.0)}, "fixation")
+
+    def test_nan_errors_rejected(self):
+        # unchecked, a NaN median makes the cohort ratio infinite
+        errors = np.full(40, 1.0)
+        errors[3] = np.nan
+        with pytest.raises(UndefinedStatisticError):
+            M.subject_stats({"S1": np.full(40, 2.0), "S2": errors}, "fixation")
 
 
 class TestCorrelateFeatures:

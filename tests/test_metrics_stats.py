@@ -65,6 +65,11 @@ class TestQuantile:
         with pytest.raises(ConfigError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(UndefinedStatisticError):
+            quantile([1.0, bad, 3.0], 0.5)
+
     def test_iqr(self):
         assert iqr([1, 2, 3, 4]) == pytest.approx(1.5)
         assert iqr([5, 5, 5]) == 0.0

@@ -305,6 +305,16 @@ class TestCohort:
         with pytest.raises(ConfigError):
             SynthConfig(n_subjects=2, noise_sigma_per_subject=(0.1,))
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("n_subjects", 2.5), ("n_subjects", True), ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", False)],
+    )
+    def test_counts_and_seeds_must_be_integers(self, field, bad):
+        # unchecked, 2.5 subjects and seed -1 fail inside generate_cohort
+        # with a bare TypeError / ValueError, and True makes one subject
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{field: bad})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_settings_rejected(self, bad):
         # unchecked, a NaN sigma yields a recording with no valid sample and

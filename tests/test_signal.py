@@ -211,11 +211,25 @@ class TestRecordingInvariants:
         valid[17] = False
         assert recording_from_arrays("s", x, np.zeros(50), valid=valid).valid.sum() == 49
 
-    @pytest.mark.parametrize("valid", [np.ones(10, dtype=int), np.ones(10), [True] * 10])
+    @pytest.mark.parametrize(
+        "valid", [np.ones(10, dtype=int), np.ones(10), [True] * 10, np.ones((10, 10), dtype=bool)]
+    )
     def test_non_bool_validity_rejected(self, valid):
         # an int array would index samples instead of masking them
         with pytest.raises(DataError, match="valid must be a bool array"):
             GazeRecording("s", np.zeros(10), np.zeros(10), valid)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[0.0] * 10, np.zeros((10, 1)), np.zeros((2, 10)), np.zeros(10, dtype=int), np.zeros(10, dtype=bool)],
+    )
+    def test_positions_must_be_1d_float_arrays(self, x):
+        # unchecked, a list reaches score_run and fails there with a bare TypeError
+        valid = np.ones(10, dtype=bool)
+        with pytest.raises(DataError, match="x must be a float array with one axis"):
+            GazeRecording("s", x, np.zeros(10), valid)
+        with pytest.raises(DataError, match="y must be a float array with one axis"):
+            GazeRecording("s", np.zeros(10), x, valid)
 
     @pytest.mark.parametrize(
         "targets",
