@@ -14,19 +14,41 @@ and halving is exact in binary floating point, the sigmoid rows of the fused
 matrix are halved once per call, and one tanh over the whole gate block
 followed by an in-place ``*0.5 + 0.5`` on the sigmoid block yields all four
 gates. Arrays are laid out feature-major with the batch last, so each gate
-block is a run of contiguous rows. Training keeps the operands, activations
-and cell states of every step in views of one preallocated block; BPTT
-overwrites each spent activation slot with its gate gradient, so each
-layer's weight gradient is one matmul over all T·B columns after the loop.
-Inference runs through ``lstm_forward``, ``INFER_CHUNK`` windows per pass,
-so its pass buffers do not grow with the number of windows.
+block is a run of contiguous rows.
+
+Every window is an independent recurrence, so the forward and BPTT loops of
+a pass run on column blocks of the batch, one per usable CPU and at least
+``BLOCK_MIN`` windows wide: the calling thread runs the first block and a
+pool, made on first use, the rest. numpy's matmul and ufuncs release the
+interpreter lock while they compute. A block works in its own contiguous
+rows of the pass block's scratch, where numpy's elementwise calls run about
+three times faster than on the strided per-step slots, and writes every
+per-step temporary there through ``out=``. The head and the loss run on the
+whole batch in the calling thread, each layer's weight gradient is one
+product over the whole batch (the two layers' on two threads), and the
+matmuls of the loops respect ``BLOCK_ALIGN``, so every result is the same
+for any number of blocks. One block is the loop in the calling thread.
+
+Training copies each step's operands, gates and cell states out to views of
+one mapped pass block; BPTT turns each step's gates into their gradients,
+so each layer's weight gradient is one matmul over all T·B columns after the
+loop. ``lstm_train`` maps that block once per call (a short last batch gets
+its own) and reuses it for every batch, which is exact: a forward pass
+rewrites every entry that a pass reads, except the operands' bias rows and
+the zero cell state entering step 0, which no pass writes. Inference runs
+through ``lstm_forward``, ``INFER_CHUNK`` windows per pass, and keeps only
+each window's last hidden state, so its memory does not grow with the
+number of windows.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +60,14 @@ from .signal import GazeRecording, VelocityTrace
 WINDOW_SAMPLES = 100
 HIDDEN = 32
 INFER_CHUNK = 4096  # windows per inference pass
+BLOCK_MIN = 128  # windows per column block, at least
+# Block bounds and the start of a batch's ragged tail are multiples of this
+# many windows. BLAS computes a product's columns in groups of a few (8 with
+# OpenBLAS on AVX-512), and the last, partial group with kernels that depend
+# on the product's size, whose sums can differ in the last bit. So a matmul
+# covers whole groups, or exactly the batch's ragged tail, and every column
+# comes out the same for any number of blocks.
+BLOCK_ALIGN = 64
 
 # velocities arrive in dva/s; the net sees dva/ms so the inputs live in a
 # range where the gate nonlinearities are not saturated from the start
@@ -67,6 +97,7 @@ PARAM_SHAPES: dict[str, tuple[int, ...]] = {
 }
 
 N_PARAMS = sum(int(np.prod(s)) for s in PARAM_SHAPES.values())  # 14418
+_N_IN = (PARAM_SHAPES["lstm1.Wx"][1], PARAM_SHAPES["lstm2.Wx"][1])  # per layer
 
 
 def _mapped_zeros(shape) -> np.ndarray:
@@ -226,65 +257,185 @@ def _gate_views(z: np.ndarray):
     return z[:HIDDEN], z[HIDDEN : 2 * HIDDEN], z[2 * HIDDEN : 3 * HIDDEN], z[3 * HIDDEN :]
 
 
-def _pass_buffers(layers, slots: int, rows: int, b: int):
-    """Operand (bias row 1, rest 0), cell-state (0) and activation arrays.
+class _PassBlock(NamedTuple):
+    """The arrays of one pass over B windows, views of one mapped block."""
 
-    They are views of one mapped block (a 256-window training pass needs
-    86 MB), so the block is released whole. As separate heap arrays they
-    left multi-megabyte holes in the heap, and 6 of 10 identical ``lstm``
-    benchmark runs peaked about 25 MB higher.
+    ops: list[np.ndarray]  # per layer (n_in + H + 1, T, B): operand [x, h, 1] of each step
+    cs: np.ndarray  # (layers, H, T + 1, B): cell state entering each step, and the last
+    acts: np.ndarray  # (layers, 4H, T, B): gate activations, then their gradients
+    h_last: np.ndarray  # (H, B): layer 2's last hidden state
+    scratch: np.ndarray  # (rows * B,): each column block's per-step arrays, block after block
+
+    def columns(self, lo: int, hi: int) -> "_PassBlock":
+        """The same arrays for windows lo..hi-1; the scratch is a contiguous (rows, hi - lo)."""
+        rows = len(self.scratch) // self.h_last.shape[1]
+        return _PassBlock(
+            [op[..., lo:hi] for op in self.ops],
+            self.cs[..., lo:hi],
+            self.acts[..., lo:hi],
+            self.h_last[:, lo:hi],
+            self.scratch[rows * lo : rows * hi].reshape(rows, hi - lo),
+        )
+
+
+# per column: the forward pass's two operands, gates, two cell states,
+# tanh(c) and i*g; BPTT's gates, three rows of temporaries, the sigmoid-gate
+# gradients, two carried cell-state gradients and each layer's dL/d[x, h]
+_FORWARD_ROWS = [n_in + HIDDEN + 1 for n_in in _N_IN] + [4 * HIDDEN] + [HIDDEN] * 4
+_BACKWARD_ROWS = [4 * HIDDEN, 3 * HIDDEN, 3 * HIDDEN, HIDDEN, HIDDEN] + [n_in + HIDDEN for n_in in _N_IN]
+
+
+def _row_blocks(scratch: np.ndarray, sizes) -> list[np.ndarray]:
+    """Consecutive row blocks of ``scratch`` with the given sizes."""
+    edges = np.cumsum([0, *sizes])
+    return [scratch[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+def _pass_block(t_len: int, b: int) -> _PassBlock:
+    """Zeroed pass arrays (operand bias rows 1) for b windows in one mapped block.
+
+    A training block (t_len >= 1 steps) keeps what BPTT needs of every step
+    (a 256-window training pass needs 87 MB); an inference block (t_len 0)
+    keeps only the last hidden state. The block is released whole: as
+    separate heap arrays these left multi-megabyte holes in the heap, and 6
+    of 10 identical ``lstm`` benchmark runs peaked about 25 MB higher.
     """
-    shapes = [(n_in + HIDDEN + 1, slots, b) for _, _, n_in in layers]
-    shapes += [(len(layers), HIDDEN, slots, b), (len(layers), 4 * HIDDEN, rows, b)]
+    layers = len(_N_IN)
+    rows = max(sum(_FORWARD_ROWS), sum(_BACKWARD_ROWS)) if t_len else sum(_FORWARD_ROWS)
+    shapes = [(n_in + HIDDEN + 1, t_len, b) for n_in in _N_IN]
+    shapes += [(layers, HIDDEN, t_len + 1 if t_len else 0, b), (layers, 4 * HIDDEN, t_len, b), (HIDDEN, b), (rows * b,)]
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(_mapped_zeros((sum(sizes),)), np.cumsum(sizes)[:-1])
-    *ops, cs, acts = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    *ops, cs, acts, h_last, scratch = (part.reshape(shape) for part, shape in zip(parts, shapes))
     for op in ops:
         op[-1] = 1.0
-    return ops, cs, acts
+    return _PassBlock(ops, cs, acts, h_last, scratch)
 
 
-def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool):
-    """Batched sequence-to-one pass; xs is (B, T, 2) in dva/s.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _n_blocks(b: int) -> int:
+    """Column blocks for a pass over b windows."""
+    return max(1, min(_usable_cpus(), b // BLOCK_MIN))
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="gazecast-lstm")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_tasks(tasks) -> None:
+    """Run tasks[0] in this thread and the rest on the pool.
+
+    Every task has finished when this returns or raises, so none still
+    writes into arrays the caller goes on to read. The first failure is
+    raised with its own type.
+    """
+    futures = [_pool().submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _column_blocks(b: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, cut) per column block of a pass over b >= 1 windows.
+
+    The block holds windows lo..hi-1, and its matmuls take the columns from
+    lo + cut on, the batch's ragged tail, as a product of their own.
+    """
+    n = _n_blocks(b)
+    units = -(-b // BLOCK_ALIGN)
+    bounds = [min(b, BLOCK_ALIGN * (units * k // n)) for k in range(n + 1)]
+    tail = b - b % BLOCK_ALIGN
+    return [(lo, hi, min(tail, hi) - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _run_blocks(work, b: int) -> None:
+    """Call ``work(lo, hi, cut)`` once per column block."""
+    _run_tasks([partial(work, *block) for block in _column_blocks(b)])
+
+
+def _block_matmul(a: np.ndarray, x: np.ndarray, out: np.ndarray, cut: int) -> None:
+    """``a @ x`` into ``out``; the columns from ``cut`` on are a product of their own."""
+    if cut:
+        np.matmul(a, x[:, :cut], out=out[:, :cut])
+    if cut < x.shape[1]:
+        np.matmul(a, x[:, cut:], out=out[:, cut:])
+
+
+def _forward_block(layers, xs, scale, whole: _PassBlock, want_cache: bool, lo: int, hi: int, cut: int) -> None:
+    """The recurrence of both layers over every step, for windows lo..hi-1.
+
+    It runs in the block's contiguous scratch; with the cache each step's
+    operands, gates and cell states are copied out for BPTT.
+    """
+    ops, cs, acts, h_last, scratch = whole.columns(lo, hi)
+    *operands, z, c0, c1, tc, ig = _row_blocks(scratch, _FORWARD_ROWS)
+    for op in operands:
+        op[:-1] = 0.0
+        op[-1] = 1.0
+    cells = (c0, c1)
+    c0.fill(0.0)
+    c1.fill(0.0)
+    i, f, o, g = _gate_views(z)
+    sig = z[_SIG]
+    for t in range(xs.shape[1]):
+        x = operands[0][:2]
+        np.copyto(x, xs[lo:hi, t].T)
+        x *= scale
+        for li, (_, w_half, n_in) in enumerate(layers):
+            op, c = operands[li], cells[li]
+            if want_cache:
+                np.copyto(ops[li][:-1, t], op[:-1])
+            _block_matmul(w_half, op, z, cut)
+            np.tanh(z, out=z)
+            sig *= 0.5
+            sig += 0.5
+            c *= f
+            np.multiply(i, g, out=ig)
+            c += ig
+            if want_cache:
+                np.copyto(acts[li][:, t], z)
+                np.copyto(cs[li][:, t + 1], c)
+            np.tanh(c, out=tc)
+            h = op[n_in:-1]
+            np.multiply(o, tc, out=h)
+            if li == 0:
+                # layer 2 reads layer 1's hidden state at the same step
+                operands[1][:HIDDEN] = h
+    np.copyto(h_last, operands[1][HIDDEN:-1])
+
+
+def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool, block: _PassBlock | None = None):
+    """Batched sequence-to-one pass; xs is (B >= 1, T, 2) in dva/s.
 
     The recurrence runs feature-major, batch last, so every gate block and
-    state is a run of contiguous rows. Slot r of ``ops[l]`` (K, slots, B) is
-    layer l's operand [x, h, 1] for step r, and slot r of ``cs[l]`` the cell
-    state entering it. With the cache every step owns its slot of each
-    array, (T + 1) for operands and cell states and T for activations;
-    without it two slots alternate and one activation slot is reused, so
+    state is a run of contiguous rows. With the cache, ``ops[l][:, t]`` is
+    layer l's operand [x, h, 1] at step t, ``cs[l][:, t]`` the cell state
+    entering it and ``acts[l][:, t]`` its gates, in ``block`` if one is given
+    (see ``_pass_block``). Without it only the last hidden state is kept, so
     memory does not grow with T.
     """
     b, t_len, _ = xs.shape
     layers = _fused_layers(model.params)
-    slots, rows = (t_len + 1, t_len) if want_cache else (2, 1)
-    ops, cs, acts = _pass_buffers(layers, slots, rows, b)
-    tc = np.empty((HIDDEN, b))
-
-    nxt = 0
-    for t in range(t_len):
-        cur, nxt, row = (t, t + 1, t) if want_cache else (t % 2, 1 - t % 2, 0)
-        np.multiply(xs[:, t].T, model.input_scale, out=ops[0][:2, cur])
-        for li, (_, w_half, n_in) in enumerate(layers):
-            z = acts[li][:, row]
-            np.matmul(w_half, ops[li][:, cur], out=z)
-            np.tanh(z, out=z)
-            sig = z[_SIG]
-            sig *= 0.5
-            sig += 0.5
-            i, f, o, g = _gate_views(z)
-            c = cs[li][:, nxt]
-            np.multiply(f, cs[li][:, cur], out=c)
-            c += i * g
-            np.tanh(c, out=tc)
-            h = ops[li][n_in:-1, nxt]
-            np.multiply(o, tc, out=h)
-            if li == 0:
-                # layer 2 reads layer 1's hidden state at the same step
-                ops[1][:HIDDEN, cur] = h
+    if block is None:
+        block = _pass_block(t_len if want_cache else 0, b)
+    _run_blocks(partial(_forward_block, layers, xs, model.input_scale, block, want_cache), b)
 
     p = model.params
-    h_last = ops[1][HIDDEN:-1, nxt].T
+    h_last = block.h_last.T
     a1_pre = h_last @ p["fc1.W"].T + p["fc1.b"]
     a1 = np.maximum(a1_pre, 0.0)
     a2_pre = a1 @ p["fc2.W"].T + p["fc2.b"]
@@ -292,14 +443,16 @@ def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool):
     pred = a2 @ p["out.W"].T + p["out.b"]
     cache = None
     if want_cache:
-        cache = {
-            "layers": layers,
-            "ops": ops,
-            "cs": cs,
-            "acts": acts,
-            "head": (h_last, a1_pre, a1, a2_pre, a2),
-        }
+        cache = {"layers": layers, "block": block, "head": (h_last, a1_pre, a1, a2_pre, a2)}
     return pred, cache
+
+
+def _window_array(inputs) -> np.ndarray:
+    """``inputs`` as float64 windows (B, T, 2) with T >= 1."""
+    xs = np.asarray(inputs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1] < 1 or xs.shape[2] != 2:
+        raise ConfigError(f"expected windows shaped (B, T >= 1, 2), got {xs.shape}")
+    return xs
 
 
 def lstm_forward(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
@@ -307,15 +460,11 @@ def lstm_forward(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
 
     Each forward pass takes at most INFER_CHUNK windows.
     """
-    xs = np.asarray(inputs, dtype=float)
-    single = xs.ndim == 2
-    if single:
-        xs = xs[None]
-    if xs.ndim != 3 or xs.shape[-1] != 2 or xs.shape[1] < 1:
-        raise ConfigError(f"expected windows shaped (B, T, 2), got {np.shape(inputs)}")
+    single = np.ndim(inputs) == 2
+    xs = _window_array(np.asarray(inputs)[None] if single else inputs)
     pred = np.empty((len(xs), 2))
     for s in range(0, len(xs), INFER_CHUNK):
-        pred[s : s + INFER_CHUNK] = _forward(model, xs[s : s + INFER_CHUNK], want_cache=False)[0]
+        pred[s : s + INFER_CHUNK] = _forward(model, xs[s : s + INFER_CHUNK], False)[0]
     return pred[0] if single else pred
 
 
@@ -328,14 +477,71 @@ def _loss_grad_from_pred(pred: np.ndarray, targets: np.ndarray):
     return loss, dpred
 
 
-def loss_and_grad(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
-    """Mean Euclidean loss and its gradient for every parameter tensor."""
-    xs = np.asarray(inputs, dtype=float)
+def _backward_block(back, dh_head: np.ndarray, whole: _PassBlock, lo: int, hi: int, cut: int) -> None:
+    """BPTT through both layers for windows lo..hi-1.
+
+    Each step's gates are copied into the block's contiguous scratch, turned
+    into pre-activation gradients there and copied back to their slot.
+    """
+    _, cs, acts, _, scratch = whole.columns(lo, hi)
+    z, temps, d_sig, dc0, dc1, d_op0, d_op1 = _row_blocks(scratch, _BACKWARD_ROWS)
+    tc, dct, sq_h = _row_blocks(temps, [HIDDEN] * 3)
+    dc, d_op = (dc0, dc1), (d_op0, d_op1)
+    dh = [d[-HIDDEN:] for d in d_op]  # each matmul below leaves dL/dh for the step before
+    dc0.fill(0.0)
+    dc1.fill(0.0)
+    dh[0].fill(0.0)
+    np.copyto(dh[1], dh_head[:, lo:hi])
+    i, f, o, g = _gate_views(z)
+    sig = z[_SIG]
+    for t in range(acts.shape[2] - 1, -1, -1):
+        for li in (1, 0):
+            np.copyto(z, acts[li][:, t])
+            np.copyto(tc, cs[li][:, t + 1])
+            np.tanh(tc, out=tc)
+            np.multiply(dh[li], o, out=dct)
+            np.multiply(tc, tc, out=sq_h)
+            np.subtract(1.0, sq_h, out=sq_h)
+            dct *= sq_h
+            dct += dc[li]
+            np.multiply(dct, g, out=d_sig[:HIDDEN])
+            np.copyto(d_sig[HIDDEN : 2 * HIDDEN], cs[li][:, t])
+            d_sig[HIDDEN : 2 * HIDDEN] *= dct
+            np.multiply(dh[li], tc, out=d_sig[2 * HIDDEN :])
+            np.multiply(dct, f, out=dc[li])
+            # the gates become the pre-activation gradients
+            np.multiply(g, g, out=sq_h)
+            np.subtract(1.0, sq_h, out=sq_h)
+            sq_h *= i
+            np.multiply(sq_h, dct, out=g)
+            np.multiply(sig, sig, out=temps)  # tc, dct and sq_h are spent
+            sig -= temps
+            sig *= d_sig
+            np.copyto(acts[li][:, t], z)
+            _block_matmul(back[li], z, d_op[li], cut)
+            if li == 1:
+                # layer 2's input is layer 1's hidden state at the same step
+                dh[0] += d_op1[:HIDDEN]
+
+
+def loss_and_grad(model: LstmModel, inputs: np.ndarray, targets: np.ndarray, block: _PassBlock | None = None):
+    """Mean Euclidean loss and its gradient for every parameter tensor.
+
+    ``block`` is a training pass block from ``_pass_block`` for this batch,
+    which ``lstm_train`` reuses across batches; without one the call maps
+    its own.
+    """
+    xs = _window_array(inputs)
     ys = np.asarray(targets, dtype=float)
-    if xs.ndim != 3 or ys.shape != (len(xs), 2):
-        raise ConfigError("inputs must be (B, T, 2) with targets (B, 2)")
+    if ys.shape != (len(xs), 2):
+        raise ConfigError(f"targets must be (B, 2) for {len(xs)} windows, got {ys.shape}")
+    if len(xs) == 0:
+        raise EmptyInputError("no windows for a loss")
+    b, t_len, _ = xs.shape
+    if block is not None and block.acts.shape[2:] != (t_len, b):
+        raise ConfigError(f"pass block holds {block.acts.shape[2:]} (steps, windows), the batch is {(t_len, b)}")
     p = model.params
-    pred, cache = _forward(model, xs, want_cache=True)
+    pred, cache = _forward(model, xs, True, block)
     loss, dpred = _loss_grad_from_pred(pred, ys)
 
     grads = {}
@@ -351,40 +557,24 @@ def loss_and_grad(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
     grads["fc1.b"] = da1.sum(axis=0)
     dh_head = da1 @ p["fc1.W"]
 
-    layers, ops, cs, acts = (cache[k] for k in ("layers", "ops", "cs", "acts"))
-    b, t_len, _ = xs.shape
+    layers, block = cache["layers"], cache["block"]
     back = [np.ascontiguousarray(w[:, :-1].T) for w, _, _ in layers]  # [Wx | Wh]^T
-    dh = [np.zeros((HIDDEN, b)), np.ascontiguousarray(dh_head.T)]
-    dc = [np.zeros((HIDDEN, b)), np.zeros((HIDDEN, b))]
-    d_sig = np.empty((3 * HIDDEN, b))  # dL/d[i, f, o]
-    for t in range(t_len - 1, -1, -1):
-        for li in (1, 0):
-            z = acts[li][:, t]
-            i, f, o, g = _gate_views(z)
-            tc = np.tanh(cs[li][:, t + 1])
-            dct = dh[li] * o
-            dct *= 1.0 - tc * tc
-            dct += dc[li]
-            np.multiply(dct, g, out=d_sig[:HIDDEN])
-            np.multiply(dct, cs[li][:, t], out=d_sig[HIDDEN : 2 * HIDDEN])
-            np.multiply(dh[li], tc, out=d_sig[2 * HIDDEN :])
-            dc[li] = dct * f
-            # the spent activations become the pre-activation gradients
-            dg = 1.0 - g * g
-            dg *= i
-            np.multiply(dg, dct, out=g)
-            sig = z[_SIG]
-            sig -= sig * sig
-            sig *= d_sig
-            d_op = back[li] @ z
-            dh[li] = d_op[-HIDDEN:]
-            if li == 1:
-                # layer 2's input is layer 1's hidden state at the same step
-                dh[0] += d_op[:HIDDEN]
+    _run_blocks(partial(_backward_block, back, dh_head.T, block), b)
 
-    for (w, _, n_in), op, dz, prefix in zip(layers, ops, acts, ("lstm1", "lstm2")):
-        # one matmul over all T*B columns; indexing by _FUSED_ORDER restores [i, f, g, o]
-        dw = (dz.reshape(4 * HIDDEN, t_len * b) @ op[:, :t_len].reshape(len(op), t_len * b).T)[_FUSED_ORDER]
+    # one matmul per layer over all T*B columns, the two on separate threads
+    # when the batch is wide enough for blocks
+    dws = [np.empty((4 * HIDDEN, len(op))) for op in block.ops]
+    weight_grads = [
+        partial(np.matmul, dz.reshape(4 * HIDDEN, t_len * b), op.reshape(len(op), t_len * b).T, out=dw)
+        for dz, op, dw in zip(block.acts, block.ops, dws)
+    ]
+    if _n_blocks(b) > 1:
+        _run_tasks(weight_grads)
+    else:
+        for task in weight_grads:
+            task()
+    for (_, _, n_in), dw, prefix in zip(layers, dws, ("lstm1", "lstm2")):
+        dw = dw[_FUSED_ORDER]  # restores the [i, f, g, o] row order
         grads[f"{prefix}.Wx"] = dw[:, :n_in]
         grads[f"{prefix}.Wh"] = dw[:, n_in:-1]
         grads[f"{prefix}.b"] = dw[:, -1]
@@ -487,11 +677,12 @@ def lstm_train(model: LstmModel, windows, cfg: TrainConfig = TrainConfig(), val_
     dropping a window. With validation windows the loop early-stops after
     ``patience`` epochs without improvement and restores the best weights.
     """
-    xs = np.asarray(windows.inputs, dtype=float)
+    xs = _window_array(windows.inputs)
     ys = np.asarray(windows.targets, dtype=float)
     n = len(xs)
     if n == 0:
         raise EmptyInputError("no training windows")
+    blocks: dict[int, _PassBlock] = {}  # per batch width, released on return
 
     adam_t = 0
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -508,7 +699,9 @@ def lstm_train(model: LstmModel, windows, cfg: TrainConfig = TrainConfig(), val_
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(model, xs[sel], ys[sel])
+            if len(sel) not in blocks:
+                blocks[len(sel)] = _pass_block(xs.shape[1], len(sel))
+            loss, grads = loss_and_grad(model, xs[sel], ys[sel], blocks[len(sel)])
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, start // cfg.batch_size)
             total += loss * len(sel)

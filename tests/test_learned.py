@@ -1,6 +1,7 @@
 """Window building, LSTM forward/backward/training, and baseline predictors."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,40 @@ class TestLossAndGradient:
         assert worst < 1e-4
 
     @pytest.mark.parametrize(
+        "shape",
+        [(4, 10, 1), (4, 0, 2), (4, 10, 3)],
+        ids=["one-channel-broadcast", "no-steps", "three-channels"],
+    )
+    @pytest.mark.parametrize("call", ["loss_and_grad", "gradient_check", "lstm_train"])
+    def test_malformed_windows_rejected(self, call, shape):
+        model = L.LstmModel.init_seeded(0)
+        xs, ys = np.ones(shape), np.zeros((shape[0], 2))
+        with pytest.raises(ConfigError, match="windows shaped"):
+            if call == "lstm_train":
+                L.lstm_train(model, L.WindowBatch(xs, ys, np.arange(shape[0])))
+            else:
+                getattr(L, call)(model, xs, ys)
+
+    def test_empty_batch_has_no_loss(self):
+        with pytest.raises(EmptyInputError):
+            L.loss_and_grad(L.LstmModel.init_seeded(0), np.empty((0, 10, 2)), np.empty((0, 2)))
+
+    def test_reused_block_gives_a_fresh_blocks_result(self):
+        rng = np.random.default_rng(4)
+        model = L.LstmModel.init_seeded(6)
+        block = L._pass_block(12, 40)
+        first = rng.normal(scale=90.0, size=(40, 12, 2)), rng.normal(scale=0.4, size=(40, 2))
+        xs, ys = rng.normal(scale=90.0, size=(40, 12, 2)), rng.normal(scale=0.4, size=(40, 2))
+        L.loss_and_grad(model, *first, block)
+        reused = L.loss_and_grad(model, xs, ys, block)
+        fresh = L.loss_and_grad(model, xs, ys)
+        assert reused[0] == fresh[0]
+        for name in L.PARAM_SHAPES:
+            assert np.array_equal(reused[1][name], fresh[1][name])
+        with pytest.raises(ConfigError, match="pass block"):
+            L.loss_and_grad(model, xs[:39], ys[:39], block)
+
+    @pytest.mark.parametrize(
         "eps, entry_stride",
         [(1e-5, -1), (1e-5, 0), (1e-5, 2.5), (1e-5, True), (0.0, 1), (-1e-5, 1), (math.nan, 1), (math.inf, 1)],
     )
@@ -315,6 +350,116 @@ class TestLossAndGradient:
         model, xs, ys = kink_free_lstm_fixture()
         with pytest.raises(ConfigError):
             L.gradient_check(model, xs, ys, eps=eps, entry_stride=entry_stride)
+
+
+class TestColumnBlocks:
+    """Passes run on column blocks in threads; the result must not depend on their number."""
+
+    @staticmethod
+    def windows(n, t_len, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(scale=90.0, size=(n, t_len, 2)), rng.normal(scale=0.4, size=(n, 2))
+
+    @staticmethod
+    def each_block_count(monkeypatch, run):
+        results = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(L, "_n_blocks", lambda b, k=k: k)
+            results.append(run())
+        return results
+
+    def test_blocks_cover_the_batch_once_with_aligned_bounds(self, monkeypatch):
+        for b in (1, 63, 64, 300, 1100, 4096):
+            for k in (1, 2, 3, 7):
+                monkeypatch.setattr(L, "_n_blocks", lambda b, k=k: k)
+                blocks = L._column_blocks(b)
+                assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
+                assert blocks[0][0] == 0 and blocks[-1][1] == b
+                assert all(lo % L.BLOCK_ALIGN == 0 and hi > lo for lo, hi, _ in blocks)
+                assert [lo + cut for lo, _, cut in blocks][-1] == b - b % L.BLOCK_ALIGN
+
+    def test_block_count_is_bounded_by_cpus_and_width(self):
+        assert L._n_blocks(1) == 1
+        assert L._n_blocks(L.BLOCK_MIN * 2 - 1) == 1
+        assert 1 <= L._n_blocks(10**6) <= L._usable_cpus()
+
+    def test_loss_and_grad_invariant(self, monkeypatch):
+        # 300 is not a multiple of the block alignment: the batch has a ragged tail
+        model = L.LstmModel.init_seeded(7)
+        xs, ys = self.windows(300, 12, 1)
+        runs = self.each_block_count(monkeypatch, lambda: L.loss_and_grad(model, xs, ys))
+        for loss, grads in runs[1:]:
+            assert loss == runs[0][0]
+            for name in L.PARAM_SHAPES:
+                assert np.array_equal(grads[name], runs[0][1][name])
+
+    def test_lstm_forward_invariant(self, monkeypatch):
+        model = L.LstmModel.init_seeded(8)
+        xs, _ = self.windows(1100, 20, 2)
+        runs = self.each_block_count(monkeypatch, lambda: L.lstm_forward(model, xs))
+        for pred in runs[1:]:
+            assert np.array_equal(pred, runs[0])
+
+    def test_lstm_train_invariant(self, monkeypatch):
+        # batches of 300, 300 and a short last one of 100
+        xs, ys = self.windows(700, 12, 3)
+        wb = L.WindowBatch(xs, ys, np.arange(len(xs)))
+        cfg = L.TrainConfig(batch_size=300, epochs=2, rng_seed=4)
+
+        def train():
+            model = L.LstmModel.init_seeded(9)
+            losses = [h.train_loss for h in L.lstm_train(model, wb, cfg).history]
+            return losses, model.params
+
+        runs = self.each_block_count(monkeypatch, train)
+        for losses, params in runs[1:]:
+            assert losses == runs[0][0]
+            for name in L.PARAM_SHAPES:
+                assert np.array_equal(params[name], runs[0][1][name])
+
+    def test_block_loops_allocate_no_temporaries(self):
+        # every per-step temporary goes to the pass block's scratch; one
+        # (HIDDEN, 128) float64 array, or a numpy buffer for a strided
+        # operand, would be 32 KB
+        b, lo, t_len = 256, 128, 20
+        xs, _ = self.windows(b, t_len, 5)
+        model = L.LstmModel.init_seeded(0)
+        layers = L._fused_layers(model.params)
+        back = [np.ascontiguousarray(w[:, :-1].T) for w, _, _ in layers]
+        dh_head = np.ones((L.HIDDEN, b))
+        train, infer = L._pass_block(t_len, b), L._pass_block(0, b)
+        loops = [
+            lambda: L._forward_block(layers, xs, 1e-3, train, True, lo, b, b - lo),
+            lambda: L._forward_block(layers, xs, 1e-3, infer, False, lo, b, b - lo),
+            lambda: L._backward_block(back, dh_head, train, lo, b, b - lo),
+        ]
+        for loop in loops:
+            loop()  # numpy's first-call caches
+            tracemalloc.start()
+            try:
+                loop()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8192
+
+    def test_failure_in_a_pool_block_reaches_the_caller(self, monkeypatch):
+        class BlockFailure(Exception):
+            pass
+
+        forward_block = L._forward_block
+
+        def failing_block(*args):
+            lo = args[-3]
+            if lo > 0:
+                raise BlockFailure(lo)
+            forward_block(*args)
+
+        monkeypatch.setattr(L, "_forward_block", failing_block)
+        monkeypatch.setattr(L, "_n_blocks", lambda b: 3)
+        xs, _ = self.windows(1024, 5, 4)
+        with pytest.raises(BlockFailure):
+            L.lstm_forward(L.LstmModel.init_seeded(0), xs)
 
 
 class TestEvaluateLoss:

@@ -26,15 +26,19 @@ def test_console_scripts_resolve():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-def loaded_after(code: str, modules) -> list[str]:
-    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
+def printed_by(code: str):
+    """The value that ``code``, run in a fresh interpreter, prints last."""
     import gazecast
 
-    code += f"\nimport sys\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     src = str(Path(gazecast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return ast.literal_eval(out.stdout.strip())
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(code: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
+    return printed_by(code + f"\nimport sys\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n")
 
 
 def test_package_imports_no_scipy_signal_or_stats():
@@ -50,6 +54,30 @@ def test_package_imports_no_scipy_signal_or_stats():
 def test_learned_needs_no_kalman_filter():
     # the LSTM and the baselines return the run type scoring defines
     assert loaded_after("import gazecast.learned", ("gazecast.opkf", "scipy.linalg")) == []
+
+
+def test_no_thread_starts_where_none_is_needed():
+    # the LSTM's column-block pool starts with the first pass wide enough
+    # to split; importing, the baselines and a narrow pass start no thread
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from gazecast import learned, signal\n"
+        "counts = [threading.active_count()]\n"
+        "rec = signal.recording_from_arrays('S', np.arange(300) / 100.0, np.zeros(300))\n"
+        "vel = signal.compute_velocity(rec, signal.DiffConfig(mode='causal'))\n"
+        "learned.baseline_predict('constant-velocity', rec, vel, 40)\n"
+        "learned.baseline_predict('constant-position', rec, None, 40)\n"
+        "counts.append(threading.active_count())\n"
+        "model = learned.LstmModel.init_seeded(0)\n"
+        "learned.lstm_forward(model, np.zeros((learned.BLOCK_MIN, 10, 2)))\n"
+        "counts.append(threading.active_count())\n"
+        "learned._n_blocks = lambda b: 2\n"
+        "learned.lstm_forward(model, np.zeros((learned.BLOCK_MIN, 10, 2)))\n"
+        "counts.append(threading.active_count())\n"
+        "print(counts)\n"
+    )
+    assert printed_by(code) == [1, 1, 1, 2]
 
 
 def test_no_import_inside_a_function():
