@@ -17,17 +17,19 @@ gates. Arrays are laid out feature-major with the batch last, so each gate
 block is a run of contiguous rows.
 
 Every window is an independent recurrence, so the forward and BPTT loops of
-a pass run on column blocks of the batch, one per usable CPU and at least
-``BLOCK_MIN`` windows wide: the calling thread runs the first block and a
-pool, made on first use, the rest. numpy's matmul and ufuncs release the
-interpreter lock while they compute. A block works in its own contiguous
-rows of the pass block's scratch, where numpy's elementwise calls run about
-three times faster than on the strided per-step slots, and writes every
-per-step temporary there through ``out=``. The head and the loss run on the
-whole batch in the calling thread, each layer's weight gradient is one
-product over the whole batch (the two layers' on two threads), and the
-matmuls of the loops respect ``BLOCK_ALIGN``, so every result is the same
-for any number of blocks. One block is the loop in the calling thread.
+a pass run on column blocks of the batch, at least ``BLOCK_MIN`` windows
+wide and one per usable CPU divided by the thread count of the OpenBLAS
+bundled with numpy (by 1 where that count cannot be read): the calling
+thread runs the first block and a pool, made on first use, the rest. numpy's
+matmul and ufuncs release the interpreter lock while they compute. A block
+works in its own contiguous rows of the pass block's scratch, where numpy's
+elementwise calls run about three times faster than on the strided per-step
+slots, and writes every per-step temporary there through ``out=``. The head
+and the loss run on the whole batch in the calling thread, each layer's
+weight gradient is one product over the whole batch (the two layers' on two
+threads), and the matmuls of the loops respect ``BLOCK_ALIGN``, so every
+result is the same for any number of blocks. One block is the loop in the
+calling thread.
 
 Training copies each step's operands, gates and cell states out to views of
 one mapped pass block; BPTT turns each step's gates into their gradients,
@@ -43,6 +45,7 @@ number of windows.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
@@ -318,9 +321,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@cache
+def _blas_thread_reader():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None
+    when there is no such library or it lacks the symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = (n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_") and n.endswith(".so"))
+        getter = ctypes.CDLL(os.path.join(libs, next(names))).scipy_openblas_get_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    return getter
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs each matmul on, or None if unreadable."""
+    getter = _blas_thread_reader()
+    return None if getter is None else getter()
+
+
 def _n_blocks(b: int) -> int:
-    """Column blocks for a pass over b windows."""
-    return max(1, min(_usable_cpus(), b // BLOCK_MIN))
+    """Column blocks for a pass over b windows.
+
+    Each block's matmuls run on BLAS's own threads, so the usable CPUs are
+    divided by that thread count; where it cannot be read, there is one
+    block per usable CPU.
+    """
+    cpus = _usable_cpus() // max(1, _blas_threads() or 1)
+    return max(1, min(cpus, b // BLOCK_MIN))
 
 
 @cache
@@ -586,47 +615,6 @@ def evaluate_loss(model: LstmModel, windows) -> float:
     if len(windows.inputs) == 0:
         raise EmptyInputError("no windows to evaluate")
     return _loss_grad_from_pred(lstm_forward(model, windows.inputs), windows.targets)[0]
-
-
-def gradient_check(
-    model: LstmModel,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    eps: float = 1e-5,
-    entry_stride: int = 1,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Deliberately brute force: two full forward passes per checked scalar so
-    the reference stays independent of the backward code. ``entry_stride``
-    checks every k-th entry of each tensor (still touching all tensors) for
-    quick partial runs; 1 checks every parameter.
-    """
-    check_int("entry_stride", entry_stride, 1)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
-    xs = np.asarray(inputs, dtype=float)
-    ys = np.asarray(targets, dtype=float)
-    _, grads = loss_and_grad(model, xs, ys)
-    worst = 0.0
-    for name in PARAM_SHAPES:
-        flat = model.params[name].reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        for j in range(0, flat.size, entry_stride):
-            keep = flat[j]
-            flat[j] = keep + eps
-            up_pred, _ = _forward(model, xs, False)
-            loss_up, _ = _loss_grad_from_pred(up_pred, ys)
-            flat[j] = keep - eps
-            dn_pred, _ = _forward(model, xs, False)
-            loss_dn, _ = _loss_grad_from_pred(dn_pred, ys)
-            flat[j] = keep
-            numeric = (loss_up - loss_dn) / (2.0 * eps)
-            # the difference quotient carries ~1e-11 absolute roundoff, so
-            # entries below 1e-6 are compared on that absolute scale instead
-            denom = max(abs(numeric) + abs(g_flat[j]), 1e-6)
-            worst = max(worst, abs(numeric - g_flat[j]) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

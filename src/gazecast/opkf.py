@@ -29,11 +29,12 @@ size (4 states, 2 axes) the fixed cost of a numpy call outweighs its
 arithmetic. Each step is written out entry by entry. The time update forms
 T = Phi P and only the upper triangle of T Phi^T + Q, so the covariance is
 symmetric by construction and is carried as its 10 unique entries; the
-measurement update keeps the Joseph form. The fixation time update, which
-runs at most samples, reads only the five entries of its Phi that are
-neither 0 nor 1. That is exact: every remaining product and sum is
-evaluated as in the generic update, x*1.0 is x, and a dropped x*0.0 term
-changes a finite sum by at most the sign of a zero.
+measurement update takes the standard form (I - KH) P, which is exact for
+the optimal gain (``kalman_update`` says why). The fixation time update,
+which runs at most samples, reads only the five entries of its Phi that are
+neither 0 nor 1. That is exact: every remaining product and sum is evaluated
+as in the generic update, x*1.0 is x, and a dropped x*0.0 term changes a
+finite sum by at most the sign of a zero.
 
 The posterior means are collected in a flat float array, and everything
 outside the recursion stays vectorized: the regime labels before it, the
@@ -195,22 +196,27 @@ def _jittered_pd_inverse(s) -> tuple[float, ...]:
 
 
 def kalman_update(mean, cov, z, r):
-    """Joseph-form update measuring the first ``len(r)`` state rows.
+    """Standard-form update measuring the first ``len(r)`` state rows.
 
     ``z`` is (x, y) for position alone or (x, y, vx, vy) for position and
     velocity; ``r`` holds the matching diagonal of R, the position variance
     alone or the position and velocity variances. Because H only selects
     rows, S is the leading 1x1 or 2x2 block of P plus R, the gain K is the
     first columns of P times S^-1, and I - KH is the identity with K
-    subtracted from its first columns. Then B = (I - KH) P and
-    P = B (I - KH)^T + K R K^T. If S is not positive definite it is
-    jittered once by (1e-9 + 1e-9 trace S) I, which is logged; if that
-    does not help, InstabilityError.
+    subtracted from its first columns. The posterior covariance is the upper
+    triangle of (I - KH) P. That equals the Joseph form
+    (I - KH) P (I - KH)^T + K R K^T whenever K = P H^T S^-1 with S formed
+    from the same P, as here: the Joseph form's extra terms then cancel,
+    and the result is symmetric because P is stored as its upper triangle.
+    If S is not positive definite it is jittered once by
+    (1e-9 + 1e-9 trace S) I, which is logged, and the update is then the
+    exact one for R plus that jitter; if that does not help,
+    InstabilityError.
 
-    Position alone zeroes the velocity entries of S^-1, the velocity
-    innovation and the velocity variance. K's velocity column is then
-    exactly 0.0 and every term it enters adds or subtracts an exact zero,
-    so for a finite P the result is the one-row update's but for zero signs.
+    Position alone zeroes the velocity entries of S^-1 and the velocity
+    innovation. K's velocity column is then exactly 0.0 and every term it
+    enters subtracts an exact zero, so for a finite P the result is the
+    one-row update's but for zero signs.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = mean
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
@@ -219,7 +225,7 @@ def kalman_update(mean, cov, z, r):
         zx, zy = z
         s = (p00 + r0,)
         (i00,) = _pd_inverse(s) or _jittered_pd_inverse(s)
-        i01 = i11 = evx = evy = r1 = 0.0
+        i01 = i11 = evx = evy = 0.0
     else:
         r0, r1 = r
         zx, zy, zvx, zvy = z
@@ -242,36 +248,19 @@ def kalman_update(mean, cov, z, r):
         x3 + k30 * ex + k31 * evx,
         y3 + k30 * ey + k31 * evy,
     )
-    # B = (I - KH) P: row i of P minus k_i0 times row 0 and k_i1 times row 1
-    b00 = p00 - k00 * p00 - k01 * p01
-    b01 = p01 - k00 * p01 - k01 * p11
-    b02 = p02 - k00 * p02 - k01 * p12
-    b03 = p03 - k00 * p03 - k01 * p13
-    b10 = p01 - k10 * p00 - k11 * p01
-    b11 = p11 - k10 * p01 - k11 * p11
-    b12 = p12 - k10 * p02 - k11 * p12
-    b13 = p13 - k10 * p03 - k11 * p13
-    b20 = p02 - k20 * p00 - k21 * p01
-    b21 = p12 - k20 * p01 - k21 * p11
-    b22 = p22 - k20 * p02 - k21 * p12
-    b23 = p23 - k20 * p03 - k21 * p13
-    b30 = p03 - k30 * p00 - k31 * p01
-    b31 = p13 - k30 * p01 - k31 * p11
-    b33 = p33 - k30 * p03 - k31 * p13
-    # upper triangle of B (I - KH)^T + K R K^T, each r_j * k_ij formed once
-    rk00, rk10, rk20, rk30 = r0 * k00, r0 * k10, r0 * k20, r0 * k30
-    rk01, rk11, rk21, rk31 = r1 * k01, r1 * k11, r1 * k21, r1 * k31
+    # upper triangle of (I - KH) P: row i of P minus k_i0 times row 0 and
+    # k_i1 times row 1
     cov = (
-        b00 - b00 * k00 - b01 * k01 + rk00 * k00 + rk01 * k01,
-        b01 - b00 * k10 - b01 * k11 + rk00 * k10 + rk01 * k11,
-        b02 - b00 * k20 - b01 * k21 + rk00 * k20 + rk01 * k21,
-        b03 - b00 * k30 - b01 * k31 + rk00 * k30 + rk01 * k31,
-        b11 - b10 * k10 - b11 * k11 + rk10 * k10 + rk11 * k11,
-        b12 - b10 * k20 - b11 * k21 + rk10 * k20 + rk11 * k21,
-        b13 - b10 * k30 - b11 * k31 + rk10 * k30 + rk11 * k31,
-        b22 - b20 * k20 - b21 * k21 + rk20 * k20 + rk21 * k21,
-        b23 - b20 * k30 - b21 * k31 + rk20 * k30 + rk21 * k31,
-        b33 - b30 * k30 - b31 * k31 + rk30 * k30 + rk31 * k31,
+        p00 - k00 * p00 - k01 * p01,
+        p01 - k00 * p01 - k01 * p11,
+        p02 - k00 * p02 - k01 * p12,
+        p03 - k00 * p03 - k01 * p13,
+        p11 - k10 * p01 - k11 * p11,
+        p12 - k10 * p02 - k11 * p12,
+        p13 - k10 * p03 - k11 * p13,
+        p22 - k20 * p02 - k21 * p12,
+        p23 - k20 * p03 - k21 * p13,
+        p33 - k30 * p03 - k31 * p13,
     )
     return mean, cov
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import kink_free_lstm_fixture
 from gazecast import learned as L
 from gazecast.classify import EventKind, EventSegment
-from gazecast.errors import ConfigError, DataError, DivergenceError, EmptyInputError
+from gazecast.errors import ConfigError, DataError, DivergenceError, EmptyInputError, check_int
 from gazecast.metrics import score_run
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
@@ -293,6 +293,47 @@ class TestReferenceEquivalence:
             self.assert_close(model.params[name], ref[f"trained/{name}"])
 
 
+def gradient_check(
+    model: L.LstmModel,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    eps: float = 1e-5,
+    entry_stride: int = 1,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Deliberately brute force: two full forward passes per checked scalar so
+    the reference stays independent of the backward code. ``entry_stride``
+    checks every k-th entry of each tensor (still touching all tensors) for
+    quick partial runs; 1 checks every parameter.
+    """
+    check_int("entry_stride", entry_stride, 1)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
+    xs = np.asarray(inputs, dtype=float)
+    ys = np.asarray(targets, dtype=float)
+    _, grads = L.loss_and_grad(model, xs, ys)
+    worst = 0.0
+    for name in L.PARAM_SHAPES:
+        flat = model.params[name].reshape(-1)
+        g_flat = grads[name].reshape(-1)
+        for j in range(0, flat.size, entry_stride):
+            keep = flat[j]
+            flat[j] = keep + eps
+            up_pred, _ = L._forward(model, xs, False)
+            loss_up, _ = L._loss_grad_from_pred(up_pred, ys)
+            flat[j] = keep - eps
+            dn_pred, _ = L._forward(model, xs, False)
+            loss_dn, _ = L._loss_grad_from_pred(dn_pred, ys)
+            flat[j] = keep
+            numeric = (loss_up - loss_dn) / (2.0 * eps)
+            # the difference quotient carries ~1e-11 absolute roundoff, so
+            # entries below 1e-6 are compared on that absolute scale instead
+            denom = max(abs(numeric) + abs(g_flat[j]), 1e-6)
+            worst = max(worst, abs(numeric - g_flat[j]) / denom)
+    return worst
+
+
 class TestLossAndGradient:
     def test_loss_nonnegative_zero_iff_exact(self):
         model = L.LstmModel({k: np.zeros(s) for k, s in L.PARAM_SHAPES.items()})
@@ -304,7 +345,7 @@ class TestLossAndGradient:
 
     def test_gradient_check_strided(self):
         model, xs, ys = kink_free_lstm_fixture()
-        worst = L.gradient_check(model, xs, ys, eps=1e-5, entry_stride=24)
+        worst = gradient_check(model, xs, ys, eps=1e-5, entry_stride=24)
         assert worst < 1e-4
 
     @pytest.mark.parametrize(
@@ -320,7 +361,7 @@ class TestLossAndGradient:
             if call == "lstm_train":
                 L.lstm_train(model, L.WindowBatch(xs, ys, np.arange(shape[0])))
             else:
-                getattr(L, call)(model, xs, ys)
+                {"loss_and_grad": L.loss_and_grad, "gradient_check": gradient_check}[call](model, xs, ys)
 
     def test_empty_batch_has_no_loss(self):
         with pytest.raises(EmptyInputError):
@@ -349,7 +390,7 @@ class TestLossAndGradient:
         # unchecked, a negative stride checks no entry and reports a perfect gradient
         model, xs, ys = kink_free_lstm_fixture()
         with pytest.raises(ConfigError):
-            L.gradient_check(model, xs, ys, eps=eps, entry_stride=entry_stride)
+            gradient_check(model, xs, ys, eps=eps, entry_stride=entry_stride)
 
 
 class TestColumnBlocks:
@@ -382,6 +423,19 @@ class TestColumnBlocks:
         assert L._n_blocks(1) == 1
         assert L._n_blocks(L.BLOCK_MIN * 2 - 1) == 1
         assert 1 <= L._n_blocks(10**6) <= L._usable_cpus()
+
+    @pytest.mark.parametrize(("threads", "per_cpu"), [(1, 1), (2, 2), (None, 1)])
+    def test_block_count_leaves_blas_threads_their_cpus(self, monkeypatch, threads, per_cpu):
+        # a missing library or symbol leaves one block per usable CPU
+        monkeypatch.setattr(L, "_blas_thread_reader", lambda: None if threads is None else lambda: threads)
+        for cpus in (1, 2, 3, 4, 8):
+            monkeypatch.setattr(L, "_usable_cpus", lambda cpus=cpus: cpus)
+            for b in range(1, 10 * L.BLOCK_MIN):
+                assert L._n_blocks(b) == max(1, min(cpus // per_cpu, b // L.BLOCK_MIN))
+
+    def test_blas_thread_count_reads_a_count_or_none(self):
+        threads = L._blas_threads()
+        assert threads is None or threads >= 1
 
     def test_loss_and_grad_invariant(self, monkeypatch):
         # 300 is not a multiple of the block alignment: the batch has a ragged tail

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import hysteresis_loop
 from gazecast import opkf as O
-from gazecast.classify import EventKind, classify_events
+from gazecast.classify import EventKind, causal_saccade_mask, classify_events
 from gazecast.errors import ConfigError, InstabilityError
 from gazecast.metrics import CEP_WINDOW_MS, ScoredRun, class_errors, score_run
 from gazecast.plant import DEFAULT_PARAMS, PlantParams, SynthConfig, generate_cohort
@@ -200,8 +200,8 @@ def dense_update(mean, cov, z, r):
 
 
 def position_only_update(mean, cov, z, r):
-    """The one-row Joseph update that ``kalman_update`` ran for position-only
-    samples before both cases shared the two-row algebra; packed in and out."""
+    """The one-row standard-form update for a position-only sample: row i of
+    P minus k_i times row 0. Packed in and out."""
     x0, y0, x1, y1, x2, y2, x3, y3 = mean
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
     (r0,) = r
@@ -220,22 +220,17 @@ def position_only_update(mean, cov, z, r):
         x3 + k3 * ex,
         y3 + k3 * ey,
     )
-    b00, b01, b02, b03 = p00 - k0 * p00, p01 - k0 * p01, p02 - k0 * p02, p03 - k0 * p03
-    b10, b11, b12, b13 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02, p13 - k1 * p03
-    b20, b22, b23 = p02 - k2 * p00, p22 - k2 * p02, p23 - k2 * p03
-    b30, b33 = p03 - k3 * p00, p33 - k3 * p03
-    rk0, rk1, rk2, rk3 = r0 * k0, r0 * k1, r0 * k2, r0 * k3
     cov = (
-        b00 - b00 * k0 + rk0 * k0,
-        b01 - b00 * k1 + rk0 * k1,
-        b02 - b00 * k2 + rk0 * k2,
-        b03 - b00 * k3 + rk0 * k3,
-        b11 - b10 * k1 + rk1 * k1,
-        b12 - b10 * k2 + rk1 * k2,
-        b13 - b10 * k3 + rk1 * k3,
-        b22 - b20 * k2 + rk2 * k2,
-        b23 - b20 * k3 + rk2 * k3,
-        b33 - b30 * k3 + rk3 * k3,
+        p00 - k0 * p00,
+        p01 - k0 * p01,
+        p02 - k0 * p02,
+        p03 - k0 * p03,
+        p11 - k1 * p01,
+        p12 - k1 * p02,
+        p13 - k1 * p03,
+        p22 - k2 * p02,
+        p23 - k2 * p03,
+        p33 - k3 * p03,
     )
     return mean, cov
 
@@ -423,6 +418,56 @@ class TestPositionOnlyUpdate:
             np.testing.assert_array_equal(got[pi].predicted, want[pi].predicted)
 
 
+def covariance_paths(rec):
+    """Posterior covariances of the module's packed recursion beside those of
+    a dense Joseph recursion, both (n, 4, 4) from the first valid sample on,
+    and the count of samples that measured nothing, position, and both."""
+    vel = compute_velocity(rec, DiffConfig(mode="causal"))
+    sac = causal_saccade_mask(rec, vel)
+    mats = O._RegimeMatrices(O.OpkfConfig(), PIS)
+    start = int(np.flatnonzero(rec.valid)[0])
+    mean, cov = O._initial_state(float(rec.x[start]), float(rec.y[start]))
+    dense = unpack_cov(cov)
+    packed_path, joseph_path, branches = [], [], [0, 0, 0]
+    for i in range(start + 1, rec.n_samples):
+        if sac[i]:
+            mean, cov = O.kalman_predict(mean, cov, mats.phi_sac_flat, O.Q_SACCADE)
+            phi, q = mats.phi_sac, O.Q_SACCADE
+        else:
+            mean, cov = O._predict_fixation(mean, cov, mats.fix_coeffs, O.Q_FIXATION)
+            phi, q = mats.phi_fix, O.Q_FIXATION
+        dense = phi @ dense @ phi.T + np.diag(q)
+        dense = 0.5 * (dense + dense.T)
+        m = (1 + bool(vel.valid[i])) if rec.valid[i] else 0
+        branches[m] += 1
+        if m:
+            z = (rec.x[i], rec.y[i], vel.vx[i], vel.vy[i])[: 2 * m]
+            r = O.MEASUREMENT_NOISE[:m]
+            mean, cov = O.kalman_update(mean, cov, tuple(map(float, z)), r)
+            _, dense = dense_update(np.zeros((4, 2)), dense, np.zeros((m, 2)), np.diag(r))
+        packed_path.append(unpack_cov(cov))
+        joseph_path.append(dense)
+    return np.array(packed_path), np.array(joseph_path), branches
+
+
+class TestCovarianceNumerics:
+    """What the Joseph form guaranteed by construction, checked along whole
+    recordings for the standard form (I - KH) P: the covariance stays
+    positive definite and tracks the Joseph recursion to rounding."""
+
+    @pytest.mark.parametrize(("fixture", "item"), [("reference", 1), ("subject", 0)])
+    def test_tracks_joseph_and_stays_positive_definite(self, request, fixture, item):
+        rec = request.getfixturevalue(fixture)[item]
+        packed, joseph, branches = covariance_paths(rec)
+        if fixture == "reference":
+            assert min(branches) > 0  # blinks reach the 0- and 1-measurement branches
+        # a stacked Cholesky raises LinAlgError unless every factor exists
+        np.linalg.cholesky(packed)
+        sd = np.sqrt(np.diagonal(joseph, axis1=1, axis2=2))
+        scaled = np.abs(packed - joseph) / (sd[:, :, None] * sd[:, None, :])
+        assert scaled.max() <= 1e-12
+
+
 class TestNelderMead:
     def test_quadratic(self):
         target = np.array([1.5, -2.0, 0.5])
@@ -554,8 +599,8 @@ class TestFit:
             O.fit_subject_params(rec, segs, max_evals=15, pi_ms=pi_ms)
 
     def test_base_error_pinned(self, fit15):
-        # the value before the fit scored through score_run on hoisted inputs
-        assert fit15.base_error == 2.0089713451434257
+        # exact, so a change in the filter's rounding shows here
+        assert fit15.base_error == 2.0089713451434252
 
     def test_fitted_params_finite_and_valid(self, fit15):
         assert fit15.n_evals <= 15
