@@ -1,6 +1,6 @@
 """Short-horizon gaze forecasting from 1000 Hz eye-tracking signals.
 
-Its modules cover the full pipeline: signal ingestion and differentiation,
+Its modules cover the full pipeline: recording checks and differentiation,
 velocity-threshold event classification, an oculomotor plant simulator and
 synthetic cohort generator, a plant-informed Kalman predictor, a small
 from-scratch LSTM predictor with extrapolation baselines, signal-quality

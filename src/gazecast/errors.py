@@ -25,20 +25,6 @@ class DataError(GazecastError):
     """Problems with input data."""
 
 
-class ParseError(DataError):
-    """Malformed input file; carries the offending row number when known."""
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"{message} (row {row})"
-        super().__init__(message)
-
-
-class RateError(DataError):
-    """Timestamps do not advance at the required 1 ms step."""
-
-
 class EmptyInputError(DataError):
     """Input contains no usable samples."""
 

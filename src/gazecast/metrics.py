@@ -108,14 +108,14 @@ def bonferroni(p_values, family_size: int | None = None) -> list[bool]:
 
     ``family_size`` lets the caller correct over a family larger than the
     p-values actually supplied; by default m = len(p_values). A family
-    smaller than the p-values supplied raises ConfigError.
+    that is not an integer at least as large as the p-values supplied
+    raises ConfigError.
     """
     p = list(p_values)
     if not p:
         raise EmptyInputError("no p-values to correct")
     m = family_size if family_size is not None else len(p)
-    if m < len(p):
-        raise ConfigError(f"family size {m} is smaller than the {len(p)} p-values tested")
+    check_int("family size", m, len(p))
     thr = ALPHA / m
     return [pi < thr for pi in p]
 

@@ -51,13 +51,14 @@ from __future__ import annotations
 import logging
 import math
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
 from .classify import EventKind, EventSegment, causal_saccade_mask
-from .errors import ConfigError, FitError, InstabilityError, InsufficientDataError
+from .errors import ConfigError, FitError, InstabilityError, InsufficientDataError, check_int
 from .metrics import CEP_WINDOW_MS, PredictionRun, _check_pi, score_run
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
 from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
@@ -349,7 +350,7 @@ def _floats(values: np.ndarray) -> memoryview:
 def opkf_predict_multi(
     rec: GazeRecording,
     cfg: OpkfConfig,
-    pi_list: tuple[int, ...],
+    pi_list: Iterable[int],
 ) -> dict[int, PredictionRun]:
     """One causal filter pass, predictions for every PI in pi_list.
 
@@ -358,8 +359,15 @@ def opkf_predict_multi(
     ``causal_saccade_mask`` on that velocity, so a prediction issued at
     sample t depends only on samples <= t. The filter starts at the first
     valid sample and issues a prediction at every valid sample from there
-    on. Each PI must be an integer >= 1.
+    on. ``pi_list`` is a non-empty iterable of PIs, read once, and each PI
+    must be an integer >= 1.
     """
+    try:
+        pi_list = tuple(pi_list)
+    except TypeError:
+        raise ConfigError(f"pi_list must be an iterable of pi_ms values, got {pi_list!r}") from None
+    if not pi_list:
+        raise ConfigError("pi_list must name at least one pi_ms")
     for pi in pi_list:
         _check_pi(pi)
     vel, saccade = _regime_inputs(rec)
@@ -377,7 +385,7 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     n = rec.n_samples
     sample_ok = rec.valid.tolist()
     vel_ok = vel.valid.tolist()
-    matrices = _RegimeMatrices(cfg, tuple(pi_list))
+    matrices = _RegimeMatrices(cfg, pi_list)
     noise_pos = MEASUREMENT_NOISE[:1]
 
     # Posterior rows go into a flat float array, 8 per sample, in the
@@ -443,18 +451,17 @@ def nelder_mead(objective, x0, max_evals: int | None = None) -> NMResult:
 
     Stops when the simplex's relative size drops below NM_SIZE_TOL or the
     evaluation budget (default 500 per dimension) runs out. The budget is a
-    hard cap on objective calls, and must cover the first simplex. Always
-    returns the best vertex seen. Vertices where the objective is non-finite
-    act as infinite barriers; if the whole initial simplex is non-finite,
-    that is an initialization error.
+    hard cap on objective calls: an integer that covers the first simplex.
+    Always returns the best vertex seen. Vertices where the objective is
+    non-finite act as infinite barriers; if the whole initial simplex is
+    non-finite, that is an initialization error.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n < 1:
         raise ConfigError("need at least one parameter")
     budget = max_evals if max_evals is not None else 500 * n
-    if budget < n + 1:
-        raise ConfigError(f"max_evals must be >= {n + 1} to score the first simplex, got {budget}")
+    check_int("max_evals", budget, n + 1)  # the first simplex takes n + 1
     evals = 0
 
     def f(x):

@@ -1,4 +1,4 @@
-"""Recording ingestion, validation, and velocity estimation.
+"""The gaze recording, the checks on its arrays, and velocity estimation.
 
 Positions are degrees of visual angle (dva) sampled at a fixed 1000 Hz, so
 a recording holds no clock: sample ``i`` is at ``i`` ms. Velocities are
@@ -11,21 +11,12 @@ performed across gaps.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DataError,
-    EmptyInputError,
-    ParseError,
-    RateError,
-)
+from .errors import AlignmentError, ConfigError, DataError, EmptyInputError
 
 SG_WINDOW = 7
 SG_POLYORDER = 2
@@ -110,27 +101,6 @@ class GazeRecording:
 
 
 @dataclass(frozen=True)
-class ColumnMapping:
-    """Names of the CSV columns carrying each field.
-
-    ``validity`` and the target columns are optional; the two target
-    columns are named together or not at all. When ``validity`` is absent,
-    a sample is valid iff both gaze fields parse to finite floats.
-    """
-
-    timestamp: str = "t_ms"
-    x: str = "x_dva"
-    y: str = "y_dva"
-    validity: str | None = None
-    target_x: str | None = None
-    target_y: str | None = None
-
-    def __post_init__(self):
-        if (self.target_x is None) != (self.target_y is None):
-            raise ConfigError("target_x and target_y must be named together")
-
-
-@dataclass(frozen=True)
 class DiffConfig:
     """Savitzky-Golay differentiator settings.
 
@@ -172,92 +142,6 @@ class VelocityTrace:
     def __post_init__(self):
         if not (len(self.vx) == len(self.vy) == len(self.v_radial) == len(self.valid)):
             raise AlignmentError("velocity arrays have mismatched lengths")
-
-
-def _parse_float(text: str) -> float:
-    text = text.strip()
-    if not text:
-        return math.nan
-    return float(text)
-
-
-def ingest_csv(path, mapping: ColumnMapping, subject_id: str = "") -> GazeRecording:
-    """Read one recording from a UTF-8 CSV with a header row.
-
-    The timestamps must advance by exactly 1 ms and are not stored: the
-    first row becomes sample 0, and target onsets become sample indices.
-    Rows whose gaze fields are empty, "NaN", or non-finite become
-    valid=False samples; a row whose target fields are empty or non-finite
-    logs no target step. Raises ParseError (with row number) on a missing
-    column or a malformed row, RateError (with row number) on a timestamp
-    step other than 1 ms, EmptyInputError on a file with no data rows.
-    """
-    t_first = t_prev = None
-    x_list: list[float] = []
-    y_list: list[float] = []
-    valid_list: list[bool] = []
-    tgt_rows: list[tuple[int, float, float]] = []
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyInputError(f"{path}: empty file")
-        named = (mapping.timestamp, mapping.x, mapping.y, mapping.validity, mapping.target_x, mapping.target_y)
-        for col in named:
-            if col is not None and col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {col!r}", row=1)
-        for rownum, row in enumerate(reader, start=2):
-            if None in row:  # DictReader keeps a long row's extra fields under the key None
-                raise ParseError(f"{path}: row has more fields than the header", row=rownum)
-            if None in row.values():  # and fills a short row's missing fields with None
-                raise ParseError(f"{path}: row has fewer fields than the header", row=rownum)
-            raw_t = row[mapping.timestamp]
-            if raw_t.strip() == "":
-                raise ParseError(f"{path}: missing timestamp", row=rownum)
-            try:
-                t = int(raw_t)
-            except ValueError:
-                raise ParseError(f"{path}: bad timestamp {raw_t!r}", row=rownum) from None
-            if t_prev is None:
-                t_first = t
-            elif t - t_prev != 1:
-                raise RateError(
-                    f"{path}: timestamps must advance by exactly 1 ms; "
-                    f"step of {t - t_prev} ms after t={t_prev} (row {rownum})"
-                )
-            t_prev = t
-            try:
-                x = _parse_float(row[mapping.x])
-                y = _parse_float(row[mapping.y])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad gaze value ({exc})", row=rownum) from None
-            ok = math.isfinite(x) and math.isfinite(y)
-            if ok and mapping.validity is not None:
-                flag = row[mapping.validity].strip().lower()
-                ok = flag in ("1", "true", "t", "yes", "valid")
-            x_list.append(x if ok else math.nan)
-            y_list.append(y if ok else math.nan)
-            valid_list.append(ok)
-            if mapping.target_x is not None:
-                try:
-                    tx = _parse_float(row[mapping.target_x])
-                    ty = _parse_float(row[mapping.target_y])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: bad target value ({exc})", row=rownum) from None
-                if math.isfinite(tx) and math.isfinite(ty):
-                    if not tgt_rows or (tgt_rows[-1][1], tgt_rows[-1][2]) != (tx, ty):
-                        tgt_rows.append((t - t_first, tx, ty))
-
-    if t_first is None:
-        raise EmptyInputError(f"{path}: no data rows")
-    targets = np.array(tgt_rows, dtype=float) if tgt_rows else None
-    return GazeRecording(
-        subject_id=subject_id or str(path),
-        x=np.asarray(x_list, dtype=float),
-        y=np.asarray(y_list, dtype=float),
-        valid=np.asarray(valid_list, dtype=bool),
-        targets=targets,
-    )
 
 
 def compute_velocity(rec: GazeRecording, cfg: DiffConfig = DiffConfig()) -> VelocityTrace:

@@ -143,6 +143,29 @@ class TestDataQuality:
         acc, _ = data_quality(rec, late)
         assert acc == pytest.approx(0.0, abs=1e-12)
 
+    def test_target_lock_starts_exactly_at_delay(self):
+        # target (5, 0) from sample 0, (-5, 0) from sample 300; gaze sits
+        # 0.3 dva beside each target
+        n = 600
+        tx = np.where(np.arange(n) < 300, 5.0, -5.0)
+        targets = np.array([[0.0, 5.0, 0.0], [300.0, -5.0, 0.0]])
+        rec = recording_from_arrays("s", tx + 0.3, np.zeros(n), targets=targets)
+        # the fixations starting 100 and 120 ms after a target step are
+        # target-locked; those starting 0 and 10 ms after one are not
+        fix = EventKind.FIXATION
+        segs = [
+            EventSegment(fix, 0, 99),
+            EventSegment(fix, 100, 299),
+            EventSegment(EventKind.SACCADE, 300, 309),
+            EventSegment(fix, 310, 419),
+            EventSegment(fix, 420, n - 1),
+        ]
+        assert data_quality(rec, segs)[0] == pytest.approx(0.3)
+        # a fixation starting at the delay is locked, one ms earlier is not
+        assert data_quality(rec, [EventSegment(fix, 100, 299)])[0] == pytest.approx(0.3)
+        with pytest.raises(InsufficientDataError):
+            data_quality(rec, [EventSegment(fix, 99, 299)])
+
     def test_fixation_before_first_target_skipped(self):
         # targets start at t=200: the fixation before them has no target
         # and is skipped, though it lies within the lock radius of the

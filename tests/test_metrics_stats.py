@@ -166,7 +166,8 @@ class TestBonferroni:
 
     def test_family_smaller_than_tests_rejected(self):
         bonferroni([0.02, 0.03, 0.04], family_size=3)
-        for family_size in (0, 1, 2):
+        # a fractional family is rejected even when it exceeds the tests
+        for family_size in (0, 1, 2, 2.5, 3.5):
             with pytest.raises(ConfigError, match="family size"):
                 bonferroni([0.02, 0.03, 0.04], family_size=family_size)
 

@@ -135,10 +135,18 @@ class TestFilterProperties:
             truth = np.column_stack([x[idx + pi], y[idx + pi]])
             np.testing.assert_allclose(run.predicted[idx], truth, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("pi_list", [(-5,), (40.5,), (0,), (20, 0)])
+    @pytest.mark.parametrize("pi_list", [(-5,), (40.5,), (0,), (20, 0), (), 40])
     def test_bad_pi_rejected(self, short_rec, pi_list):
         with pytest.raises(ConfigError, match="pi_ms"):
             O.opkf_predict_multi(short_rec, O.OpkfConfig(), pi_list)
+
+    def test_pi_iterator_read_once(self, short_rec):
+        from_iter = O.opkf_predict_multi(short_rec, O.OpkfConfig(), iter((20, 40)))
+        from_tuple = O.opkf_predict_multi(short_rec, O.OpkfConfig(), (20, 40))
+        assert list(from_iter) == list(from_tuple) == [20, 40]
+        for pi, run in from_tuple.items():
+            assert np.array_equal(from_iter[pi].predicted, run.predicted, equal_nan=True)
+            assert np.array_equal(from_iter[pi].valid_mask, run.valid_mask)
 
 
 class TestDenseReference:
@@ -498,9 +506,11 @@ class TestNelderMead:
         assert not res.converged
         assert res.fun == min(values)
 
-    def test_budget_must_cover_first_simplex(self):
+    @pytest.mark.parametrize("max_evals", [3, 10.5])
+    def test_budget_must_cover_first_simplex(self, max_evals):
+        # a fractional budget would never equal the evaluation count
         with pytest.raises(ConfigError, match="max_evals"):
-            O.nelder_mead(lambda v: 0.0, np.zeros(3), max_evals=3)
+            O.nelder_mead(lambda v: 0.0, np.zeros(3), max_evals=max_evals)
 
 
 # the plant fields the filter never reads

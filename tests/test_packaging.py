@@ -80,6 +80,23 @@ def test_no_thread_starts_where_none_is_needed():
     assert printed_by(code) == [1, 1, 1, 2]
 
 
+def test_no_unused_import():
+    # a deletion can leave an import behind that nothing references
+    import gazecast
+
+    tests = Path(__file__).parent
+    for path in sorted([*Path(gazecast.__file__).parent.glob("*.py"), *tests.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name} and never uses it"
+
+
 def test_no_import_inside_a_function():
     # a deferred import hides a cycle in the module graph
     import gazecast

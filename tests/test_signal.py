@@ -5,194 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazecast.classify import EventKind, EventSegment
-from gazecast.errors import ConfigError, DataError, EmptyInputError, ParseError, RateError
-from gazecast.features import data_quality
+from gazecast.errors import ConfigError, DataError, EmptyInputError
 from gazecast.signal import (
     CAUSAL_TAPS,
     CENTERED_TAPS,
     SG_POLYORDER,
     SG_WINDOW,
-    ColumnMapping,
     DiffConfig,
     GazeRecording,
     compute_velocity,
-    ingest_csv,
     recording_from_arrays,
 )
-
-
-def write_csv(path, text):
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-class TestIngest:
-    def test_three_row_passthrough(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva\n0,1.5,-2.0\n1,1.6,-2.1\n2,1.7,-2.2\n",
-        )
-        rec = ingest_csv(p, ColumnMapping())
-        assert rec.n_samples == 3
-        assert rec.x[0] == 1.5 and rec.y[2] == -2.2
-        assert rec.valid.all()
-
-    def test_nan_field_becomes_invalid(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,NaN,1.0\n2,1.0,1.0\n",
-        )
-        rec = ingest_csv(p, ColumnMapping())
-        assert list(rec.valid) == [True, False, True]
-        assert math.isnan(rec.x[1])
-
-    def test_empty_field_becomes_invalid(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,,1.0\n2,1.0,1.0\n",
-        )
-        rec = ingest_csv(p, ColumnMapping())
-        assert list(rec.valid) == [True, False, True]
-
-    def test_gap_in_timestamps_rejected(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,1.0,1.0\n3,1.0,1.0\n4,1.0,1.0\n",
-        )
-        with pytest.raises(RateError, match=r"step of 2 ms after t=1 \(row 4\)"):
-            ingest_csv(p, ColumnMapping())
-
-    def test_offset_timestamps_index_from_zero(self, tmp_path):
-        # target (5, 0) from the first row, (-5, 0) from row 300; gaze sits
-        # 0.3 dva beside each target
-        n = 600
-        tx = np.where(np.arange(n) < 300, 5.0, -5.0)
-        gx = tx + 0.3
-        recs = []
-        for t0 in (0, 1000):
-            rows = [f"{t0 + i},{g!r},0.0,{t!r},0.0" for i, (g, t) in enumerate(zip(gx.tolist(), tx.tolist()))]
-            p = write_csv(tmp_path / f"r{t0}.csv", "t_ms,x_dva,y_dva,tx,ty\n" + "\n".join(rows) + "\n")
-            recs.append(ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty")))
-        late = recs[1]
-        assert late.n_samples == n and late.duration_ms == n
-        assert np.array_equal(late.x, gx)
-        assert late.targets.tolist() == [[0.0, 5.0, 0.0], [300.0, -5.0, 0.0]]
-        # the fixations starting 100 and 120 ms after a target step are
-        # target-locked; those starting 0 and 10 ms after one are not
-        fix = EventKind.FIXATION
-        segs = [
-            EventSegment(fix, 0, 99),
-            EventSegment(fix, 100, 299),
-            EventSegment(EventKind.SACCADE, 300, 309),
-            EventSegment(fix, 310, 419),
-            EventSegment(fix, 420, n - 1),
-        ]
-        assert data_quality(late, segs) == data_quality(recs[0], segs)
-        assert data_quality(late, segs)[0] == pytest.approx(0.3)
-
-    def test_no_data_rows(self, tmp_path):
-        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva\n")
-        with pytest.raises(EmptyInputError):
-            ingest_csv(p, ColumnMapping())
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva\n0,1.0,1.0\noops,1.0,1.0\n",
-        )
-        with pytest.raises(ParseError) as exc:
-            ingest_csv(p, ColumnMapping())
-        assert exc.value.row == 3
-
-    def test_short_row_reports_line(self, tmp_path):
-        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,1.0\n")
-        with pytest.raises(ParseError, match="fewer fields") as exc:
-            ingest_csv(p, ColumnMapping())
-        assert exc.value.row == 3
-
-    def test_long_row_reports_line(self, tmp_path):
-        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva\n0,1.0,1.0\n1,2.0,2.0,99\n")
-        with pytest.raises(ParseError, match="more fields") as exc:
-            ingest_csv(p, ColumnMapping())
-        assert exc.value.row == 3
-
-    def test_missing_column(self, tmp_path):
-        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva\n0,1.0\n")
-        with pytest.raises(ParseError):
-            ingest_csv(p, ColumnMapping())
-
-    def test_validity_column(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t,gx,gy,ok\n0,1.0,1.0,1\n1,1.0,1.0,0\n",
-        )
-        rec = ingest_csv(p, ColumnMapping(timestamp="t", x="gx", y="gy", validity="ok"))
-        assert list(rec.valid) == [True, False]
-
-    def test_target_columns_collapse_to_steps(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva,tx,ty\n"
-            "0,0.0,0.0,5.0,0.0\n"
-            "1,0.1,0.0,5.0,0.0\n"
-            "2,0.2,0.0,-5.0,0.0\n"
-            "3,0.3,0.0,-5.0,0.0\n",
-        )
-        rec = ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
-        assert rec.targets.tolist() == [[0.0, 5.0, 0.0], [2.0, -5.0, 0.0]]
-
-    def test_empty_target_cell_logs_no_step(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva,tx,ty\n0,0.0,0.0,,\n1,0.1,0.0,5.0,0.0\n",
-        )
-        rec = ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
-        assert rec.targets.tolist() == [[1.0, 5.0, 0.0]]
-
-    def test_malformed_target_reports_line(self, tmp_path):
-        p = write_csv(
-            tmp_path / "r.csv",
-            "t_ms,x_dva,y_dva,tx,ty\n0,0.0,0.0,5.0,0.0\n1,0.1,0.0,abc,0.0\n",
-        )
-        with pytest.raises(ParseError, match="target") as exc:
-            ingest_csv(p, ColumnMapping(target_x="tx", target_y="ty"))
-        assert exc.value.row == 3
-
-    @pytest.mark.parametrize("named", [{"target_x": "tx"}, {"target_y": "ty"}])
-    def test_one_target_column_rejected(self, named):
-        with pytest.raises(ConfigError, match="together"):
-            ColumnMapping(**named)
-
-    @pytest.mark.parametrize(
-        "mapping, missing",
-        [(ColumnMapping(target_x="tx", target_y="ty"), "ty"), (ColumnMapping(validity="ok"), "ok")],
-    )
-    def test_missing_optional_column(self, tmp_path, mapping, missing):
-        p = write_csv(tmp_path / "r.csv", "t_ms,x_dva,y_dva,tx\n0,0.0,0.0,5.0\n")
-        with pytest.raises(ParseError, match=f"missing column '{missing}'") as exc:
-            ingest_csv(p, mapping)
-        assert exc.value.row == 1
-
-    def test_roundtrip(self, tmp_path):
-        # floats written with repr read back bit-exactly; an invalid sample
-        # is written with empty gaze fields
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        valid = np.ones(50, dtype=bool)
-        valid[10:13] = False
-        rec = recording_from_arrays("s1", x, y, valid)
-        rows = [
-            f"{t},{xi!r},{yi!r}" if ok else f"{t},,"
-            for t, xi, yi, ok in zip(range(rec.n_samples), rec.x.tolist(), rec.y.tolist(), rec.valid)
-        ]
-        out = write_csv(tmp_path / "out.csv", "t_ms,x_dva,y_dva\n" + "\n".join(rows) + "\n")
-        back = ingest_csv(out, ColumnMapping(), subject_id="s1")
-        assert np.array_equal(back.valid, rec.valid)
-        m = rec.valid
-        assert np.array_equal(back.x[m], rec.x[m])
-        assert np.array_equal(back.y[m], rec.y[m])
 
 
 class TestRecordingInvariants:
@@ -209,7 +32,9 @@ class TestRecordingInvariants:
         # the same value on a sample flagged invalid is a legal gap
         valid = np.ones(50, dtype=bool)
         valid[17] = False
-        assert recording_from_arrays("s", x, np.zeros(50), valid=valid).valid.sum() == 49
+        rec = recording_from_arrays("s", x, np.zeros(50), valid=valid)
+        assert rec.valid.sum() == 49
+        assert rec.duration_ms == rec.n_samples == 50
 
     @pytest.mark.parametrize(
         "valid", [np.ones(10, dtype=int), np.ones(10), [True] * 10, np.ones((10, 10), dtype=bool)]
