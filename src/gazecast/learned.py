@@ -734,22 +734,18 @@ def lstm_train(model: LstmModel, windows, cfg: TrainConfig = TrainConfig(), val_
 def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, pi_ms: int) -> PredictionRun:
     """Reference extrapolators: hold the position, or project the velocity."""
     _check_pi(pi_ms)
-    n = rec.n_samples
-    predicted = np.full((n, 2), np.nan)
     if kind == "constant-position":
-        issued = rec.valid.copy()
-        predicted[issued, 0] = rec.x[issued]
-        predicted[issued, 1] = rec.y[issued]
+        issued, x, y = rec.valid, rec.x, rec.y
     elif kind == "constant-velocity":
         if vel is None:
             raise ConfigError("constant-velocity needs a velocity trace")
         _check_causal(rec, vel, "constant-velocity")
         issued = rec.valid & vel.valid
         dt_s = pi_ms / 1000.0
-        predicted[issued, 0] = rec.x[issued] + vel.vx[issued] * dt_s
-        predicted[issued, 1] = rec.y[issued] + vel.vy[issued] * dt_s
+        x, y = rec.x + vel.vx * dt_s, rec.y + vel.vy * dt_s
     else:
         raise ConfigError(f"unknown baseline kind {kind!r}")
+    predicted = np.where(issued[:, None], np.column_stack([x, y]), np.nan)
     return PredictionRun.from_issued(rec, pi_ms, predicted, issued)
 
 

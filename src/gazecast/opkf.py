@@ -24,17 +24,21 @@ the update reads the innovation covariance and the gain off the state
 covariance, inverts the 1x1 or 2x2 innovation covariance in closed form,
 and runs position alone as the two-row update with a zero velocity gain.
 
-The recursion runs on Python floats, with no numpy call per sample: at this
-size (4 states, 2 axes) the fixed cost of a numpy call outweighs its
-arithmetic. Each step is written out entry by entry. The time update forms
-T = Phi P and only the upper triangle of T Phi^T + Q, so the covariance is
-symmetric by construction and is carried as its 10 unique entries; the
-measurement update takes the standard form (I - KH) P, which is exact for
-the optimal gain (``kalman_update`` says why). The fixation time update,
-which runs at most samples, reads only the five entries of its Phi that are
-neither 0 nor 1. That is exact: every remaining product and sum is evaluated
-as in the generic update, x*1.0 is x, and a dropped x*0.0 term changes a
-finite sum by at most the sign of a zero.
+The recursion is one loop over local Python floats, with no numpy call and
+no function call per sample: at this size (4 states, 2 axes) the fixed cost
+of a call outweighs its arithmetic. Its state is the 8 entries of the mean
+and the 10 of the covariance's upper triangle, and the algebra of each step
+is written out once, entry by entry, in the loop body. The time update
+forms T = Phi P and only the upper triangle of T Phi^T + Q. The fixation
+time update, which runs at most samples, reads only the five entries of
+its Phi that are neither 0 nor 1. That is exact: every remaining product
+and sum is evaluated as in the generic update, x*1.0 is x, and a dropped
+x*0.0 term changes a finite sum by at most the sign of a zero. The
+measurement update takes the standard form (I - KH) P, which equals the
+Joseph form whenever K = P H^T S^-1 with S formed from the same P, as here.
+A zero velocity gain makes every term it enters subtract an exact zero. If
+S is not positive definite it is jittered once by (1e-9 + 1e-9 trace S) I,
+which is logged; if that does not help, InstabilityError.
 
 The posterior means are collected in a flat float array, and everything
 outside the recursion stays vectorized: the regime labels before it, the
@@ -66,207 +70,6 @@ from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
 log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
-# Kalman core on Python floats. A mean is the 8 floats of a (4, 2) posterior
-# row in row-major order (x0, y0, x1, y1, x2, y2, x3, y3): one column per
-# axis, sharing one covariance. A covariance is the 10 floats of its upper
-# triangle in row-major order (p00, p01, p02, p03, p11, p12, p13, p22, p23,
-# p33). Phi is 16 floats row-major, Q the 4 floats of its diagonal.
-
-
-def kalman_predict(mean, cov, phi, q):
-    """Time update: Phi mean and the upper triangle of Phi P Phi^T + Q."""
-    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = phi
-    x0, y0, x1, y1, x2, y2, x3, y3 = mean
-    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
-    # T = Phi P
-    t00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
-    t01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
-    t02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
-    t03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
-    t10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
-    t11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
-    t12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
-    t13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
-    t20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
-    t21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
-    t22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
-    t23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
-    t30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
-    t31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
-    t32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
-    t33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
-    q0, q1, q2, q3 = q
-    mean = (
-        a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3,
-        a00 * y0 + a01 * y1 + a02 * y2 + a03 * y3,
-        a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3,
-        a10 * y0 + a11 * y1 + a12 * y2 + a13 * y3,
-        a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3,
-        a20 * y0 + a21 * y1 + a22 * y2 + a23 * y3,
-        a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3,
-        a30 * y0 + a31 * y1 + a32 * y2 + a33 * y3,
-    )
-    # upper triangle of T Phi^T + Q; the lower one mirrors it
-    cov = (
-        t00 * a00 + t01 * a01 + t02 * a02 + t03 * a03 + q0,
-        t00 * a10 + t01 * a11 + t02 * a12 + t03 * a13,
-        t00 * a20 + t01 * a21 + t02 * a22 + t03 * a23,
-        t00 * a30 + t01 * a31 + t02 * a32 + t03 * a33,
-        t10 * a10 + t11 * a11 + t12 * a12 + t13 * a13 + q1,
-        t10 * a20 + t11 * a21 + t12 * a22 + t13 * a23,
-        t10 * a30 + t11 * a31 + t12 * a32 + t13 * a33,
-        t20 * a20 + t21 * a21 + t22 * a22 + t23 * a23 + q2,
-        t20 * a30 + t21 * a31 + t22 * a32 + t23 * a33,
-        t30 * a30 + t31 * a31 + t32 * a32 + t33 * a33 + q3,
-    )
-    return mean, cov
-
-
-def _predict_fixation(mean, cov, coeffs, q):
-    """``kalman_predict`` for a Phi that is the identity except at [0,1],
-    [2,0], [2,2], [3,0] and [3,3], whose values ``coeffs`` holds. The result
-    is the same; the module docstring says why."""
-    a01, a20, a22, a30, a33 = coeffs
-    x0, y0, x1, y1, x2, y2, x3, y3 = mean
-    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
-    # the rows of T = Phi P that T Phi^T reads; row 1 of T is row 1 of P
-    t00 = p00 + a01 * p01
-    t01 = p01 + a01 * p11
-    t02 = p02 + a01 * p12
-    t03 = p03 + a01 * p13
-    t20 = a20 * p00 + a22 * p02
-    t22 = a20 * p02 + a22 * p22
-    t23 = a20 * p03 + a22 * p23
-    t30 = a30 * p00 + a33 * p03
-    t33 = a30 * p03 + a33 * p33
-    q0, q1, q2, q3 = q
-    mean = (
-        x0 + a01 * x1,
-        y0 + a01 * y1,
-        x1,
-        y1,
-        a20 * x0 + a22 * x2,
-        a20 * y0 + a22 * y2,
-        a30 * x0 + a33 * x3,
-        a30 * y0 + a33 * y3,
-    )
-    cov = (
-        t00 + t01 * a01 + q0,
-        t01,
-        t00 * a20 + t02 * a22,
-        t00 * a30 + t03 * a33,
-        p11 + q1,
-        p01 * a20 + p12 * a22,
-        p01 * a30 + p13 * a33,
-        t20 * a20 + t22 * a22 + q2,
-        t20 * a30 + t23 * a33,
-        t30 * a30 + t33 * a33 + q3,
-    )
-    return mean, cov
-
-
-def _pd_inverse(s) -> tuple[float, ...] | None:
-    """Closed-form inverse of a symmetric 1x1 ``(a,)`` or 2x2 ``(a, b, d)``.
-
-    Returns the inverse in the same packing, or None unless the matrix is
-    positive definite (the condition under which a Cholesky factorization
-    exists).
-    """
-    if len(s) == 1:
-        (a,) = s
-        return (1.0 / a,) if a > 0 else None
-    a, b, d = s
-    det = a * d - b * b
-    if a > 0 and det > 0:
-        return (d / det, -b / det, a / det)
-    return None
-
-
-def _jittered_pd_inverse(s) -> tuple[float, ...]:
-    """Inverse of S + (1e-9 + 1e-9 trace S) I, logged; InstabilityError if
-    that is still not positive definite."""
-    jitter = 1e-9 + 1e-9 * sum(s[::2])
-    if len(s) == 1:
-        s_inv = _pd_inverse((s[0] + jitter,))
-    else:
-        s_inv = _pd_inverse((s[0] + jitter, s[1], s[2] + jitter))
-    if s_inv is None:
-        raise InstabilityError("innovation covariance not positive definite")
-    log.warning("innovation covariance not positive definite; added %.3g jitter", jitter)
-    return s_inv
-
-
-def kalman_update(mean, cov, z, r):
-    """Standard-form update measuring the first ``len(r)`` state rows.
-
-    ``z`` is (x, y) for position alone or (x, y, vx, vy) for position and
-    velocity; ``r`` holds the matching diagonal of R, the position variance
-    alone or the position and velocity variances. Because H only selects
-    rows, S is the leading 1x1 or 2x2 block of P plus R, the gain K is the
-    first columns of P times S^-1, and I - KH is the identity with K
-    subtracted from its first columns. The posterior covariance is the upper
-    triangle of (I - KH) P. That equals the Joseph form
-    (I - KH) P (I - KH)^T + K R K^T whenever K = P H^T S^-1 with S formed
-    from the same P, as here: the Joseph form's extra terms then cancel,
-    and the result is symmetric because P is stored as its upper triangle.
-    If S is not positive definite it is jittered once by
-    (1e-9 + 1e-9 trace S) I, which is logged, and the update is then the
-    exact one for R plus that jitter; if that does not help,
-    InstabilityError.
-
-    Position alone zeroes the velocity entries of S^-1 and the velocity
-    innovation. K's velocity column is then exactly 0.0 and every term it
-    enters subtracts an exact zero, so for a finite P the result is the
-    one-row update's but for zero signs.
-    """
-    x0, y0, x1, y1, x2, y2, x3, y3 = mean
-    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
-    if len(r) == 1:
-        (r0,) = r
-        zx, zy = z
-        s = (p00 + r0,)
-        (i00,) = _pd_inverse(s) or _jittered_pd_inverse(s)
-        i01 = i11 = evx = evy = 0.0
-    else:
-        r0, r1 = r
-        zx, zy, zvx, zvy = z
-        s = (p00 + r0, p01, p11 + r1)
-        i00, i01, i11 = _pd_inverse(s) or _jittered_pd_inverse(s)
-        evx, evy = zvx - x1, zvy - y1
-    # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
-    k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
-    k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
-    k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
-    k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
-    ex, ey = zx - x0, zy - y0
-    mean = (
-        x0 + k00 * ex + k01 * evx,
-        y0 + k00 * ey + k01 * evy,
-        x1 + k10 * ex + k11 * evx,
-        y1 + k10 * ey + k11 * evy,
-        x2 + k20 * ex + k21 * evx,
-        y2 + k20 * ey + k21 * evy,
-        x3 + k30 * ex + k31 * evx,
-        y3 + k30 * ey + k31 * evy,
-    )
-    # upper triangle of (I - KH) P: row i of P minus k_i0 times row 0 and
-    # k_i1 times row 1
-    cov = (
-        p00 - k00 * p00 - k01 * p01,
-        p01 - k00 * p01 - k01 * p11,
-        p02 - k00 * p02 - k01 * p12,
-        p03 - k00 * p03 - k01 * p13,
-        p11 - k10 * p01 - k11 * p11,
-        p12 - k10 * p02 - k11 * p12,
-        p13 - k10 * p03 - k11 * p13,
-        p22 - k20 * p02 - k21 * p12,
-        p23 - k20 * p03 - k21 * p13,
-        p33 - k30 * p03 - k31 * p13,
-    )
-    return mean, cov
-
-
-# ---------------------------------------------------------------------------
 # configuration and state
 
 # diagonal of the process noise Q over [theta, omega, g_ag, g_ant], per regime
@@ -295,16 +98,15 @@ class OpkfConfig:
 
 
 # the entries of the fixation Phi that are neither 0 nor 1, in the order of
-# ``_predict_fixation``'s coefficients
+# ``_RegimeMatrices.fix_coeffs``
 _FIX_ROWS, _FIX_COLS = (0, 2, 2, 3, 3), (1, 0, 2, 0, 3)
 
 
 class _RegimeMatrices:
     """Discrete transition/process matrices per regime plus PI-ahead rows.
 
-    ``fix_coeffs`` holds the entries of ``phi_fix`` that ``_predict_fixation``
-    takes, and ``phi_sac_flat`` the 16 floats of ``phi_sac`` that
-    ``kalman_predict`` takes.
+    ``fix_coeffs`` holds the five entries of ``phi_fix`` that the filter
+    loop reads, and ``phi_sac_flat`` the 16 floats of ``phi_sac`` row-major.
     """
 
     def __init__(self, cfg: OpkfConfig, pi_list: tuple[int, ...]):
@@ -380,13 +182,30 @@ def _regime_inputs(rec) -> tuple[VelocityTrace, np.ndarray]:
     return vel, causal_saccade_mask(rec, vel)
 
 
+def _jittered_pd_inverse(s) -> tuple[float, ...]:
+    """Inverse of the symmetric 1x1 ``(a,)`` or 2x2 ``(a, b, d)`` S plus
+    (1e-9 + 1e-9 trace S) I, packed the same way and logged;
+    InstabilityError unless that is positive definite."""
+    jitter = 1e-9 + 1e-9 * sum(s[::2])
+    a = s[0] + jitter
+    if len(s) == 1:
+        s_inv = (1.0 / a,) if a > 0 else None
+    else:
+        b, d = s[1], s[2] + jitter
+        det = a * d - b * b
+        s_inv = (d / det, -b / det, a / det) if a > 0 and det > 0 else None
+    if s_inv is None:
+        raise InstabilityError("innovation covariance not positive definite")
+    log.warning("innovation covariance not positive definite; added %.3g jitter", jitter)
+    return s_inv
+
+
 def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     """The filter pass of ``opkf_predict_multi`` on ``_regime_inputs``."""
     n = rec.n_samples
     sample_ok = rec.valid.tolist()
     vel_ok = vel.valid.tolist()
     matrices = _RegimeMatrices(cfg, pi_list)
-    noise_pos = MEASUREMENT_NOISE[:1]
 
     # Posterior rows go into a flat float array, 8 per sample, in the
     # (4, 2) row-major order of a mean; rows before the start are NaN.
@@ -394,22 +213,133 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     start = int(valid_idx[0]) if valid_idx.size else n
     flat = array("d", [math.nan]) * (8 * start)
     if start < n:
+        # The state: the mean (x0, y0, ..., x3, y3), one column per axis,
+        # and the upper triangle p00, p01, ..., p33 of the shared covariance.
         mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]))
         flat.extend(mean)
+        x0, y0, x1, y1, x2, y2, x3, y3 = mean
+        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = (
+            matrices.phi_sac_flat
+        )
+        f01, f20, f22, f30, f33 = matrices.fix_coeffs
+        qs0, qs1, qs2, qs3 = Q_SACCADE
+        qf0, qf1, qf2, qf3 = Q_FIXATION
+        r0, r1 = MEASUREMENT_NOISE
         columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
         samples = zip(saccade.tolist(), sample_ok, vel_ok, *columns)
-        fix_coeffs, phi_sac = matrices.fix_coeffs, matrices.phi_sac_flat
-        for sac, s_ok, v_ok, x, y, vx, vy in islice(samples, start + 1, None):
+        for sac, s_ok, v_ok, zx, zy, zvx, zvy in islice(samples, start + 1, None):
             if sac:
-                mean, cov = kalman_predict(mean, cov, phi_sac, Q_SACCADE)
+                # T = Phi P, then the upper triangle of T Phi^T + Q
+                t00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
+                t01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
+                t02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
+                t03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
+                t10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
+                t11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
+                t12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
+                t13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
+                t20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
+                t21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
+                t22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
+                t23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
+                t30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
+                t31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
+                t32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
+                t33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
+                p00 = t00 * a00 + t01 * a01 + t02 * a02 + t03 * a03 + qs0
+                p01 = t00 * a10 + t01 * a11 + t02 * a12 + t03 * a13
+                p02 = t00 * a20 + t01 * a21 + t02 * a22 + t03 * a23
+                p03 = t00 * a30 + t01 * a31 + t02 * a32 + t03 * a33
+                p11 = t10 * a10 + t11 * a11 + t12 * a12 + t13 * a13 + qs1
+                p12 = t10 * a20 + t11 * a21 + t12 * a22 + t13 * a23
+                p13 = t10 * a30 + t11 * a31 + t12 * a32 + t13 * a33
+                p22 = t20 * a20 + t21 * a21 + t22 * a22 + t23 * a23 + qs2
+                p23 = t20 * a30 + t21 * a31 + t22 * a32 + t23 * a33
+                p33 = t30 * a30 + t31 * a31 + t32 * a32 + t33 * a33 + qs3
+                x0, x1, x2, x3 = (
+                    a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3,
+                    a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3,
+                    a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3,
+                    a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3,
+                )
+                y0, y1, y2, y3 = (
+                    a00 * y0 + a01 * y1 + a02 * y2 + a03 * y3,
+                    a10 * y0 + a11 * y1 + a12 * y2 + a13 * y3,
+                    a20 * y0 + a21 * y1 + a22 * y2 + a23 * y3,
+                    a30 * y0 + a31 * y1 + a32 * y2 + a33 * y3,
+                )
             else:
-                mean, cov = _predict_fixation(mean, cov, fix_coeffs, Q_FIXATION)
+                # the same on the five entries of the fixation Phi that are
+                # neither 0 nor 1; row 1 of T is row 1 of P, and every entry
+                # is assigned after the last read of its old value
+                t00 = p00 + f01 * p01
+                t01 = p01 + f01 * p11
+                t02 = p02 + f01 * p12
+                t03 = p03 + f01 * p13
+                t20 = f20 * p00 + f22 * p02
+                t22 = f20 * p02 + f22 * p22
+                t23 = f20 * p03 + f22 * p23
+                t30 = f30 * p00 + f33 * p03
+                t33 = f30 * p03 + f33 * p33
+                p12 = p01 * f20 + p12 * f22
+                p13 = p01 * f30 + p13 * f33
+                p00 = t00 + t01 * f01 + qf0
+                p01 = t01
+                p02 = t00 * f20 + t02 * f22
+                p03 = t00 * f30 + t03 * f33
+                p11 = p11 + qf1
+                p22 = t20 * f20 + t22 * f22 + qf2
+                p23 = t20 * f30 + t23 * f33
+                p33 = t30 * f30 + t33 * f33 + qf3
+                x2 = f20 * x0 + f22 * x2
+                y2 = f20 * y0 + f22 * y2
+                x3 = f30 * x0 + f33 * x3
+                y3 = f30 * y0 + f33 * y3
+                x0 = x0 + f01 * x1
+                y0 = y0 + f01 * y1
             if s_ok:
+                # S^-1 in closed form, then the gain K = P[:, :2] S^-1 with one
+                # row (k_i0, k_i1) per state; position alone has a zero
+                # velocity column
+                s00 = p00 + r0
                 if v_ok:
-                    mean, cov = kalman_update(mean, cov, (x, y, vx, vy), MEASUREMENT_NOISE)
+                    s11 = p11 + r1
+                    det = s00 * s11 - p01 * p01
+                    if s00 > 0.0 and det > 0.0:
+                        i00, i01, i11 = s11 / det, -p01 / det, s00 / det
+                    else:
+                        i00, i01, i11 = _jittered_pd_inverse((s00, p01, s11))
+                    evx, evy = zvx - x1, zvy - y1
                 else:
-                    mean, cov = kalman_update(mean, cov, (x, y), noise_pos)
-            flat.extend(mean)
+                    if s00 > 0.0:
+                        i00 = 1.0 / s00
+                    else:
+                        (i00,) = _jittered_pd_inverse((s00,))
+                    i01 = i11 = evx = evy = 0.0
+                k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
+                k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
+                k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
+                k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
+                ex, ey = zx - x0, zy - y0
+                x0 = x0 + k00 * ex + k01 * evx
+                y0 = y0 + k00 * ey + k01 * evy
+                x1 = x1 + k10 * ex + k11 * evx
+                y1 = y1 + k10 * ey + k11 * evy
+                x2 = x2 + k20 * ex + k21 * evx
+                y2 = y2 + k20 * ey + k21 * evy
+                x3 = x3 + k30 * ex + k31 * evx
+                y3 = y3 + k30 * ey + k31 * evy
+                # upper triangle of (I - KH) P: row i of P minus k_i0 times
+                # row 0 and k_i1 times row 1; the pairs read each other
+                p22 = p22 - k20 * p02 - k21 * p12
+                p23 = p23 - k20 * p03 - k21 * p13
+                p33 = p33 - k30 * p03 - k31 * p13
+                p00 = p00 - k00 * p00 - k01 * p01
+                p01, p11 = p01 - k00 * p01 - k01 * p11, p11 - k10 * p01 - k11 * p11
+                p02, p12 = p02 - k00 * p02 - k01 * p12, p12 - k10 * p02 - k11 * p12
+                p03, p13 = p03 - k00 * p03 - k01 * p13, p13 - k10 * p03 - k11 * p13
+            flat.extend((x0, y0, x1, y1, x2, y2, x3, y3))
 
     posterior = np.frombuffer(flat).reshape(n, 4, 2)
     # The covariance does not depend on the measurements, so a diverged mean
@@ -587,6 +517,7 @@ def fit_subject_params(
     first simplex vertex reuses. Returns the fitted parameters only when
     they score better than the base set on calibration.
     """
+    check_int("max_evals", max_evals, 5)  # the first simplex takes 4 + 1
     _check_pi(pi_ms)
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]
     if len(sacc) < 10:

@@ -675,6 +675,26 @@ class TestBaselines:
         assert not run.valid_mask[300 - PI]
         assert not run.valid_mask[300]
 
+    @pytest.mark.parametrize("kind", ["constant-position", "constant-velocity"])
+    def test_equals_mask_scatter(self, kind):
+        # the blink-injected OPKF reference recording: invalid samples, and
+        # valid ones without a velocity estimate
+        with np.load(Path(__file__).parent / "data" / "opkf_reference.npz") as data:
+            rec = recording_from_arrays("ref", data["x"], data["y"], valid=data["valid"])
+        vel = compute_velocity(rec, CAUSAL)
+        assert (rec.valid & ~vel.valid).any() and (~rec.valid).any()
+        want = np.full((rec.n_samples, 2), np.nan)
+        if kind == "constant-position":
+            issued = rec.valid
+            want[issued, 0] = rec.x[issued]
+            want[issued, 1] = rec.y[issued]
+        else:
+            issued = rec.valid & vel.valid
+            want[issued, 0] = rec.x[issued] + vel.vx[issued] * (PI / 1000.0)
+            want[issued, 1] = rec.y[issued] + vel.vy[issued] * (PI / 1000.0)
+        run = L.baseline_predict(kind, rec, vel, PI)
+        assert np.array_equal(run.predicted, want, equal_nan=True)
+
     def test_bad_inputs(self):
         rec = ramp_recording(1.0, 0.0, 300)
         with pytest.raises(ConfigError):

@@ -189,7 +189,8 @@ class TestScoreRun:
             t = i + pi
             if not (mask[i] and rec.valid[t]):
                 continue
-            err = float(np.hypot(predicted[i, 0] - rec.x[t], predicted[i, 1] - rec.y[t]))
+            dx, dy = predicted[i, 0] - rec.x[t], predicted[i, 1] - rec.y[t]
+            err = float(np.sqrt(dx * dx + dy * dy))
             seg = seg_of[t]
             if seg.kind is EventKind.FIXATION:
                 expected["fixation"].append(err)
@@ -209,6 +210,9 @@ class TestScoreRun:
 
         table = M.score_run(run_from(predicted, mask, pi), rec, segs)
         assert len(table) == len(expected["all"])
+        tgt = table.sample_idx
+        hypot = np.hypot(predicted[tgt - pi, 0] - rec.x[tgt], predicted[tgt - pi, 1] - rec.y[tgt])
+        np.testing.assert_allclose(table.error_dva, hypot, rtol=4.5e-16, atol=0)
         split = M.class_errors(table, segs)
         for name in M.EVENT_CLASSES:
             assert split[name].tolist() == expected[name], name

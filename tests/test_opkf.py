@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from conftest import hysteresis_loop
 from gazecast import opkf as O
 from gazecast.classify import EventKind, causal_saccade_mask, classify_events
 from gazecast.errors import ConfigError, InstabilityError
-from gazecast.metrics import CEP_WINDOW_MS, ScoredRun, class_errors, score_run
+from gazecast.metrics import CEP_WINDOW_MS, PredictionRun, ScoredRun, class_errors, score_run
 from gazecast.plant import DEFAULT_PARAMS, PlantParams, SynthConfig, generate_cohort
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
@@ -207,6 +208,174 @@ def dense_update(mean, cov, z, r):
     return mean + gain @ (z - h @ mean), 0.5 * (new_cov + new_cov.T)
 
 
+# ---------------------------------------------------------------------------
+# The reference steps: the filter loop's algebra as one function per step,
+# on float tuples. A mean is the 8 floats of a (4, 2) posterior row in
+# row-major order (x0, y0, x1, y1, x2, y2, x3, y3), one column per axis,
+# sharing one covariance. A covariance is the 10 floats of its upper
+# triangle in row-major order (p00, p01, p02, p03, p11, p12, p13, p22, p23,
+# p33). Phi is 16 floats row-major, Q the 4 floats of its diagonal.
+
+
+def kalman_predict(mean, cov, phi, q):
+    """Time update: Phi mean and the upper triangle of Phi P Phi^T + Q."""
+    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = phi
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # T = Phi P
+    t00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
+    t01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
+    t02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
+    t03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
+    t10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
+    t11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
+    t12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
+    t13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
+    t20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
+    t21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
+    t22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
+    t23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
+    t30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
+    t31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
+    t32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
+    t33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
+    q0, q1, q2, q3 = q
+    mean = (
+        a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3,
+        a00 * y0 + a01 * y1 + a02 * y2 + a03 * y3,
+        a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3,
+        a10 * y0 + a11 * y1 + a12 * y2 + a13 * y3,
+        a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3,
+        a20 * y0 + a21 * y1 + a22 * y2 + a23 * y3,
+        a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3,
+        a30 * y0 + a31 * y1 + a32 * y2 + a33 * y3,
+    )
+    # upper triangle of T Phi^T + Q; the lower one mirrors it
+    cov = (
+        t00 * a00 + t01 * a01 + t02 * a02 + t03 * a03 + q0,
+        t00 * a10 + t01 * a11 + t02 * a12 + t03 * a13,
+        t00 * a20 + t01 * a21 + t02 * a22 + t03 * a23,
+        t00 * a30 + t01 * a31 + t02 * a32 + t03 * a33,
+        t10 * a10 + t11 * a11 + t12 * a12 + t13 * a13 + q1,
+        t10 * a20 + t11 * a21 + t12 * a22 + t13 * a23,
+        t10 * a30 + t11 * a31 + t12 * a32 + t13 * a33,
+        t20 * a20 + t21 * a21 + t22 * a22 + t23 * a23 + q2,
+        t20 * a30 + t21 * a31 + t22 * a32 + t23 * a33,
+        t30 * a30 + t31 * a31 + t32 * a32 + t33 * a33 + q3,
+    )
+    return mean, cov
+
+
+def predict_fixation(mean, cov, coeffs, q):
+    """``kalman_predict`` for a Phi that is the identity except at [0,1],
+    [2,0], [2,2], [3,0] and [3,3], whose values ``coeffs`` holds."""
+    a01, a20, a22, a30, a33 = coeffs
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # the rows of T = Phi P that T Phi^T reads; row 1 of T is row 1 of P
+    t00 = p00 + a01 * p01
+    t01 = p01 + a01 * p11
+    t02 = p02 + a01 * p12
+    t03 = p03 + a01 * p13
+    t20 = a20 * p00 + a22 * p02
+    t22 = a20 * p02 + a22 * p22
+    t23 = a20 * p03 + a22 * p23
+    t30 = a30 * p00 + a33 * p03
+    t33 = a30 * p03 + a33 * p33
+    q0, q1, q2, q3 = q
+    mean = (
+        x0 + a01 * x1,
+        y0 + a01 * y1,
+        x1,
+        y1,
+        a20 * x0 + a22 * x2,
+        a20 * y0 + a22 * y2,
+        a30 * x0 + a33 * x3,
+        a30 * y0 + a33 * y3,
+    )
+    cov = (
+        t00 + t01 * a01 + q0,
+        t01,
+        t00 * a20 + t02 * a22,
+        t00 * a30 + t03 * a33,
+        p11 + q1,
+        p01 * a20 + p12 * a22,
+        p01 * a30 + p13 * a33,
+        t20 * a20 + t22 * a22 + q2,
+        t20 * a30 + t23 * a33,
+        t30 * a30 + t33 * a33 + q3,
+    )
+    return mean, cov
+
+
+def pd_inverse(s):
+    """Closed-form inverse of a symmetric 1x1 ``(a,)`` or 2x2 ``(a, b, d)``
+    in the same packing, or None unless it is positive definite."""
+    if len(s) == 1:
+        (a,) = s
+        return (1.0 / a,) if a > 0 else None
+    a, b, d = s
+    det = a * d - b * b
+    if a > 0 and det > 0:
+        return (d / det, -b / det, a / det)
+    return None
+
+
+def kalman_update(mean, cov, z, r):
+    """Standard-form update measuring the first ``len(r)`` state rows.
+
+    ``z`` is (x, y) for position alone or (x, y, vx, vy) for position and
+    velocity; ``r`` holds the matching diagonal of R. S is the leading 1x1
+    or 2x2 block of P plus R, the gain K is the first columns of P times
+    S^-1, and the posterior covariance is the upper triangle of (I - KH) P.
+    Position alone zeroes the velocity entries of S^-1 and the velocity
+    innovation.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    if len(r) == 1:
+        (r0,) = r
+        zx, zy = z
+        s = (p00 + r0,)
+        (i00,) = pd_inverse(s) or O._jittered_pd_inverse(s)
+        i01 = i11 = evx = evy = 0.0
+    else:
+        r0, r1 = r
+        zx, zy, zvx, zvy = z
+        s = (p00 + r0, p01, p11 + r1)
+        i00, i01, i11 = pd_inverse(s) or O._jittered_pd_inverse(s)
+        evx, evy = zvx - x1, zvy - y1
+    # K = P[:, :2] S^-1, one row (k_i0, k_i1) per state
+    k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
+    k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
+    k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
+    k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
+    ex, ey = zx - x0, zy - y0
+    mean = (
+        x0 + k00 * ex + k01 * evx,
+        y0 + k00 * ey + k01 * evy,
+        x1 + k10 * ex + k11 * evx,
+        y1 + k10 * ey + k11 * evy,
+        x2 + k20 * ex + k21 * evx,
+        y2 + k20 * ey + k21 * evy,
+        x3 + k30 * ex + k31 * evx,
+        y3 + k30 * ey + k31 * evy,
+    )
+    cov = (
+        p00 - k00 * p00 - k01 * p01,
+        p01 - k00 * p01 - k01 * p11,
+        p02 - k00 * p02 - k01 * p12,
+        p03 - k00 * p03 - k01 * p13,
+        p11 - k10 * p01 - k11 * p11,
+        p12 - k10 * p02 - k11 * p12,
+        p13 - k10 * p03 - k11 * p13,
+        p22 - k20 * p02 - k21 * p12,
+        p23 - k20 * p03 - k21 * p13,
+        p33 - k30 * p03 - k31 * p13,
+    )
+    return mean, cov
+
+
 def position_only_update(mean, cov, z, r):
     """The one-row standard-form update for a position-only sample: row i of
     P minus k_i times row 0. Packed in and out."""
@@ -215,7 +384,7 @@ def position_only_update(mean, cov, z, r):
     (r0,) = r
     zx, zy = z
     s = (p00 + r0,)
-    (i00,) = O._pd_inverse(s) or O._jittered_pd_inverse(s)
+    (i00,) = pd_inverse(s) or O._jittered_pd_inverse(s)
     k0, k1, k2, k3 = p00 * i00, p01 * i00, p02 * i00, p03 * i00
     ex, ey = zx - x0, zy - y0
     mean = (
@@ -256,7 +425,7 @@ def unpack_cov(packed):
 def update(mean, cov, z, r):
     """``kalman_update`` on dense arrays: (4, 2) mean, (4, 4) cov, (m, 2) z,
     diagonal (m, m) r in, dense mean and covariance out."""
-    new_mean, new_cov = O.kalman_update(
+    new_mean, new_cov = kalman_update(
         tuple(mean.ravel().tolist()),
         tuple(cov[UPPER].tolist()),
         tuple(z.ravel().tolist()),
@@ -279,7 +448,7 @@ class TestKalmanPredict:
         mean, cov = random_state(rng)
         phi = rng.normal(size=(4, 4))
         q = rng.uniform(0.01, 1.0, 4)
-        got_mean, got_cov = O.kalman_predict(
+        got_mean, got_cov = kalman_predict(
             tuple(mean.ravel().tolist()),
             tuple(cov[UPPER].tolist()),
             tuple(phi.ravel().tolist()),
@@ -310,30 +479,21 @@ class TestPredictFixation:
         for _ in range(50):
             mean, cov = random_state(rng)
             mean, cov = tuple(mean.ravel().tolist()), tuple(cov[UPPER].tolist())
-            got = O._predict_fixation(mean, cov, m.fix_coeffs, O.Q_FIXATION)
-            assert got == O.kalman_predict(mean, cov, phi, O.Q_FIXATION)
+            got = predict_fixation(mean, cov, m.fix_coeffs, O.Q_FIXATION)
+            assert got == kalman_predict(mean, cov, phi, O.Q_FIXATION)
 
-    def test_filter_pass_equals_generic_step(self, reference, monkeypatch):
+    def test_filter_pass_equals_generic_step(self, reference):
         """The blink-injected reference recording reaches the 0-, 1- and
-        2-measurement branches; the predictions stay bit-equal when the
-        fixation step is the generic one."""
+        2-measurement branches; the predictions stay bit-equal whether the
+        fixation step is the generic one or the five-coefficient one."""
         _, rec = reference
         vel = compute_velocity(rec, DiffConfig(mode="causal"))
         assert (~rec.valid).any() and (rec.valid & ~vel.valid).any() and vel.valid.any()
-        want = predict(rec)
-        phi = tuple(O._RegimeMatrices(O.OpkfConfig(), PIS).phi_fix.ravel().tolist())
-        calls = []
-
-        def generic(mean, cov, coeffs, q):
-            calls.append(coeffs)
-            return O.kalman_predict(mean, cov, phi, q)
-
-        monkeypatch.setattr(O, "_predict_fixation", generic)
+        sac = causal_saccade_mask(rec, vel)
+        assert (~sac[1:]).sum() > rec.n_samples // 2
         got = predict(rec)
-        assert len(calls) > rec.n_samples // 2
-        for pi in PIS:
-            np.testing.assert_array_equal(got[pi].valid_mask, want[pi].valid_mask)
-            np.testing.assert_array_equal(got[pi].predicted, want[pi].predicted)
+        assert_runs_equal(got, reference_loop(rec, O.OpkfConfig(), PIS))
+        assert_runs_equal(got, reference_loop(rec, O.OpkfConfig(), PIS, fixation_coeffs=True))
 
 
 class TestKalmanUpdate:
@@ -384,7 +544,7 @@ class TestPositionOnlyUpdate:
             mean, cov = random_state(rng)
             mean, cov = tuple(mean.ravel().tolist()), tuple(cov[UPPER].tolist())
             z, r = tuple(rng.normal(size=2).tolist()), (float(rng.uniform(0.01, 1.0)),)
-            assert O.kalman_update(mean, cov, z, r) == position_only_update(mean, cov, z, r)
+            assert kalman_update(mean, cov, z, r) == position_only_update(mean, cov, z, r)
 
     def test_start_covariance_equals_one_row_update(self, caplog):
         # the start covariance's exact zeros, some of which one fixation
@@ -392,7 +552,7 @@ class TestPositionOnlyUpdate:
         # takes the jitter path
         mean, cov = O._initial_state(1.5, -2.0)
         coeffs = O._RegimeMatrices(O.OpkfConfig(), PIS).fix_coeffs
-        stepped = O._predict_fixation(mean, cov, coeffs, O.Q_FIXATION)
+        stepped = predict_fixation(mean, cov, coeffs, O.Q_FIXATION)
         cases = [
             (mean, cov, O.MEASUREMENT_NOISE[:1]),
             (*stepped, O.MEASUREMENT_NOISE[:1]),
@@ -401,34 +561,29 @@ class TestPositionOnlyUpdate:
         z = (1.7, -2.2)
         with caplog.at_level(logging.WARNING, logger="gazecast.opkf"):
             for m, c, r in cases:
-                assert O.kalman_update(m, c, z, r) == position_only_update(m, c, z, r)
+                assert kalman_update(m, c, z, r) == position_only_update(m, c, z, r)
         assert len([rec for rec in caplog.records if rec.name == "gazecast.opkf"]) == 2
 
-    def test_filter_pass_equals_one_row_update(self, reference, monkeypatch):
+    def test_filter_pass_equals_one_row_update(self, reference):
         """The blink-injected reference recording updates position alone
-        after each blink; its predictions are unchanged when those updates
-        run the one-row form."""
+        after each blink; its predictions are the same whether those updates
+        run the one-row form or the two-row form with a zero velocity gain."""
         _, rec = reference
-        want = predict(rec)
-        merged, calls = O.kalman_update, []
+        calls = []
 
-        def one_row(mean, cov, z, r):
-            if len(r) == 1:
-                calls.append(r)
-                return position_only_update(mean, cov, z, r)
-            return merged(mean, cov, z, r)
+        def merged(mean, cov, z, r):
+            calls.append(r)
+            return kalman_update(mean, cov, z, r)
 
-        monkeypatch.setattr(O, "kalman_update", one_row)
         got = predict(rec)
+        assert_runs_equal(got, reference_loop(rec, O.OpkfConfig(), PIS))
+        assert_runs_equal(got, reference_loop(rec, O.OpkfConfig(), PIS, position_update=merged))
         assert calls
-        for pi in PIS:
-            np.testing.assert_array_equal(got[pi].valid_mask, want[pi].valid_mask)
-            np.testing.assert_array_equal(got[pi].predicted, want[pi].predicted)
 
 
 def covariance_paths(rec):
-    """Posterior covariances of the module's packed recursion beside those of
-    a dense Joseph recursion, both (n, 4, 4) from the first valid sample on,
+    """Posterior covariances of the reference steps' packed recursion beside
+    those of a dense Joseph recursion, both (n, 4, 4) from the first valid sample on,
     and the count of samples that measured nothing, position, and both."""
     vel = compute_velocity(rec, DiffConfig(mode="causal"))
     sac = causal_saccade_mask(rec, vel)
@@ -439,10 +594,10 @@ def covariance_paths(rec):
     packed_path, joseph_path, branches = [], [], [0, 0, 0]
     for i in range(start + 1, rec.n_samples):
         if sac[i]:
-            mean, cov = O.kalman_predict(mean, cov, mats.phi_sac_flat, O.Q_SACCADE)
+            mean, cov = kalman_predict(mean, cov, mats.phi_sac_flat, O.Q_SACCADE)
             phi, q = mats.phi_sac, O.Q_SACCADE
         else:
-            mean, cov = O._predict_fixation(mean, cov, mats.fix_coeffs, O.Q_FIXATION)
+            mean, cov = predict_fixation(mean, cov, mats.fix_coeffs, O.Q_FIXATION)
             phi, q = mats.phi_fix, O.Q_FIXATION
         dense = phi @ dense @ phi.T + np.diag(q)
         dense = 0.5 * (dense + dense.T)
@@ -451,7 +606,7 @@ def covariance_paths(rec):
         if m:
             z = (rec.x[i], rec.y[i], vel.vx[i], vel.vy[i])[: 2 * m]
             r = O.MEASUREMENT_NOISE[:m]
-            mean, cov = O.kalman_update(mean, cov, tuple(map(float, z)), r)
+            mean, cov = kalman_update(mean, cov, tuple(map(float, z)), r)
             _, dense = dense_update(np.zeros((4, 2)), dense, np.zeros((m, 2)), np.diag(r))
         packed_path.append(unpack_cov(cov))
         joseph_path.append(dense)
@@ -474,6 +629,103 @@ class TestCovarianceNumerics:
         sd = np.sqrt(np.diagonal(joseph, axis1=1, axis2=2))
         scaled = np.abs(packed - joseph) / (sd[:, :, None] * sd[:, None, :])
         assert scaled.max() <= 1e-12
+
+
+def reference_loop(rec, cfg, pis, fixation_coeffs=False, position_update=position_only_update):
+    """``opkf_predict_multi`` from the reference steps: ``kalman_predict`` on
+    either regime's full Phi, ``kalman_update`` for position and velocity
+    and ``position_only_update`` for position alone. ``fixation_coeffs``
+    runs fixation samples through ``predict_fixation`` instead, and
+    ``position_update`` replaces the position-only step."""
+    vel = compute_velocity(rec, DiffConfig(mode="causal"))
+    sac = causal_saccade_mask(rec, vel)
+    mats = O._RegimeMatrices(cfg, pis)
+    steps = {
+        False: (tuple(mats.phi_fix.ravel().tolist()), O.Q_FIXATION),
+        True: (mats.phi_sac_flat, O.Q_SACCADE),
+    }
+    post = np.full((rec.n_samples, 4, 2), np.nan)
+    start = int(np.flatnonzero(rec.valid)[0])
+    mean, cov = O._initial_state(float(rec.x[start]), float(rec.y[start]))
+    post[start] = np.reshape(mean, (4, 2))
+    for i in range(start + 1, rec.n_samples):
+        if fixation_coeffs and not sac[i]:
+            mean, cov = predict_fixation(mean, cov, mats.fix_coeffs, O.Q_FIXATION)
+        else:
+            mean, cov = kalman_predict(mean, cov, *steps[bool(sac[i])])
+        if rec.valid[i]:
+            z = (float(rec.x[i]), float(rec.y[i]))
+            if vel.valid[i]:
+                z += (float(vel.vx[i]), float(vel.vy[i]))
+                mean, cov = kalman_update(mean, cov, z, O.MEASUREMENT_NOISE)
+            else:
+                mean, cov = position_update(mean, cov, z, O.MEASUREMENT_NOISE[:1])
+        post[i] = np.reshape(mean, (4, 2))
+    runs = {}
+    for pi in pis:
+        rows = np.where(sac[:, None], mats.pi_rows[(True, pi)], mats.pi_rows[(False, pi)])
+        predicted = np.einsum("nk,nkj->nj", rows, post)
+        runs[pi] = PredictionRun.from_issued(rec, pi, predicted, rec.valid)
+    return runs
+
+
+def assert_runs_equal(got, want):
+    assert list(got) == list(want)
+    for pi, run in want.items():
+        assert np.array_equal(got[pi].valid_mask, run.valid_mask)
+        assert np.array_equal(got[pi].predicted, run.predicted, equal_nan=True)
+
+
+class TestFilterLoop:
+    """The filter loop is bit-equal to the reference loop of the generic
+    time update and the one-row position update."""
+
+    @pytest.mark.parametrize(("fixture", "item"), [("reference", 1), ("subject", 0)])
+    def test_equals_reference_loop(self, request, fixture, item):
+        rec = request.getfixturevalue(fixture)[item]
+        if fixture == "reference":
+            # the blinks reach the 0-, 1- and 2-measurement branches
+            vel = compute_velocity(rec, DiffConfig(mode="causal"))
+            assert (~rec.valid).any() and (rec.valid & ~vel.valid).any() and vel.valid.any()
+        assert_runs_equal(predict(rec), reference_loop(rec, O.OpkfConfig(), PIS))
+
+    def test_jitter_branches_equal_reference_loop(self, reference, monkeypatch, caplog):
+        # with no measurement noise, no fixation process noise and a zero
+        # start covariance, S is singular until the first saccade
+        _, rec = reference
+        monkeypatch.setattr(O, "MEASUREMENT_NOISE", (0.0, 0.0))
+        monkeypatch.setattr(O, "Q_FIXATION", (0.0,) * 4)
+        monkeypatch.setattr(
+            O, "_initial_state", lambda x, y: ((x, y, 0.0, 0.0, x, y, -x, -y), (0.0,) * 10)
+        )
+        jittered, sizes = O._jittered_pd_inverse, []
+
+        def counted(s):
+            sizes.append(len(s))
+            return jittered(s)
+
+        monkeypatch.setattr(O, "_jittered_pd_inverse", counted)
+        with caplog.at_level(logging.WARNING, logger="gazecast.opkf"):
+            got = predict(rec)
+        warnings = [r for r in caplog.records if r.name == "gazecast.opkf"]
+        assert set(sizes) == {1, 3} and len(warnings) == len(sizes)
+        assert_runs_equal(got, reference_loop(rec, O.OpkfConfig(), PIS))
+
+    def test_no_python_call_per_sample(self, reference):
+        _, rec = reference
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            predict(rec)
+        finally:
+            sys.setprofile(previous)
+        assert calls < rec.n_samples // 4
 
 
 class TestNelderMead:
@@ -601,6 +853,19 @@ class TestFit:
         fit = O.fit_subject_params(rec, segs, max_evals=15)
         # one pass for base_error, one per evaluation after the first vertex
         assert len(passes) <= fit.n_evals
+
+    def test_bad_max_evals_rejected_before_filter_pass(self, subject, monkeypatch):
+        rec, segs = subject
+        filter_pass, passes = O._filter_pass, []
+
+        def counted(*args):
+            passes.append(args)
+            return filter_pass(*args)
+
+        monkeypatch.setattr(O, "_filter_pass", counted)
+        with pytest.raises(ConfigError, match="max_evals"):
+            O.fit_subject_params(rec, segs, max_evals=10.5)
+        assert passes == []
 
     @pytest.mark.parametrize("pi_ms", [0, 40.5])
     def test_bad_pi_rejected(self, subject, pi_ms):
