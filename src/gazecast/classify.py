@@ -74,13 +74,11 @@ class EventSegment:
         return self.end_idx - self.start_idx + 1
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, end] index runs where mask is True."""
-    if mask.size == 0:
-        return []
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and exclusive ends of the maximal runs where mask is True."""
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(0, edges.size, 2)]
+    return edges[0::2], edges[1::2]
 
 
 def segments_from_labels(
@@ -125,15 +123,18 @@ def classify_events(rec: GazeRecording, vel: VelocityTrace) -> list[EventSegment
     seeds = vel.valid & (v > PEAK_THRESHOLD)
     grow = vel.valid & (v >= ONSET_OFFSET_THRESHOLD)
 
-    for start, end in _runs(grow):
-        if not seeds[start : end + 1].any():
-            continue
-        dur = end - start + 1
-        labels[start : end + 1] = SACCADE if MIN_SACCADE_MS <= dur <= MAX_SACCADE_MS else OTHER
+    # only the grow runs that hold a seed are visited: cs[k] counts the
+    # seeds before sample k
+    starts, ends = _runs(grow)
+    cs = np.concatenate(([0], np.cumsum(seeds)))
+    seeded = cs[ends] > cs[starts]
+    for start, end in zip(starts[seeded].tolist(), ends[seeded].tolist()):
+        dur = end - start
+        labels[start:end] = SACCADE if MIN_SACCADE_MS <= dur <= MAX_SACCADE_MS else OTHER
 
-    for start, end in _runs(labels == UNLABELED):
-        dur = end - start + 1
-        labels[start : end + 1] = FIXATION if dur >= MIN_FIXATION_MS else OTHER
+    starts, ends = _runs(labels == UNLABELED)
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        labels[start:end] = FIXATION if end - start >= MIN_FIXATION_MS else OTHER
 
     return segments_from_labels(labels, rec.x, rec.y, v)
 

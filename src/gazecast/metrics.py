@@ -240,20 +240,23 @@ def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegmen
     _check_tiling(segs, n)
     pi = run.pi_ms
 
-    idx = np.flatnonzero(mask)
-    tgt = idx + pi
-    if tgt.size and tgt[-1] >= n:
-        raise AlignmentError(f"prediction at {idx[-1]} targets sample {tgt[-1]} beyond the recording")
+    # row i of the first m rows targets sample i + pi; a flagged row past
+    # them targets a sample beyond the recording
+    m = max(n - pi, 0)
+    late = np.flatnonzero(mask[m:])
+    if late.size:
+        i = m + int(late[-1])
+        raise AlignmentError(f"prediction at {i} targets sample {i + pi} beyond the recording")
     # a target sample with no ground truth cannot be scored; well-behaved
     # producers already exclude these from valid_mask
-    ok = rec.valid[tgt]
-    idx, tgt = idx[ok], tgt[ok]
-    # not np.hypot, which costs several times more and differs by <= 1 ulp
-    dx, dy = pred[idx, 0] - rec.x[tgt], pred[idx, 1] - rec.y[tgt]
-    err = np.sqrt(dx * dx + dy * dy)
+    idx = np.flatnonzero(mask[:m] & rec.valid[pi:])
+    # errors on the aligned slices, then the scored rows; not np.hypot, which
+    # costs several times more and differs by <= 1 ulp
+    dx, dy = pred[:m, 0] - rec.x[pi:], pred[:m, 1] - rec.y[pi:]
+    err = np.sqrt(dx * dx + dy * dy)[idx]
     if not np.isfinite(err).all():
         raise DataError(f"prediction {int(idx[~np.isfinite(err)][0])} is flagged valid but its error is not finite")
-    return ScoredRun(tgt, err)
+    return ScoredRun(idx + pi, err)
 
 
 def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:

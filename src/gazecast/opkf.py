@@ -40,21 +40,22 @@ A zero velocity gain makes every term it enters subtract an exact zero. If
 S is not positive definite it is jittered once by (1e-9 + 1e-9 trace S) I,
 which is logged; if that does not help, InstabilityError.
 
-The posterior means are collected in a flat float array, and everything
-outside the recursion stays vectorized: the regime labels before it, the
-divergence check and the PI-ahead output after it. That output propagates
-the posterior pi_ms steps holding the current regime. Per-subject plant
-parameters can be fitted by Nelder-Mead on a calibration slice of the
-subject's own saccades, over the four plant quantities the filter reads:
-K/J and B/J of the saccade regime and the fixation regime's force time
-constants tau_ag_deact, tau_ant_act.
+Each sample's posterior mean is written into a preallocated (n, 4, 2)
+array with one packed 64-byte store, and everything outside the recursion
+stays vectorized: the regime labels before it, the divergence check and
+the PI-ahead output after it. That output propagates the posterior pi_ms
+steps holding the current regime. Per-subject plant parameters can be
+fitted by Nelder-Mead on a calibration slice of the subject's own
+saccades, over the four plant quantities the filter reads: K/J and B/J of
+the saccade regime and the fixation regime's force time constants
+tau_ag_deact, tau_ant_act.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from array import array
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -96,6 +97,9 @@ class OpkfConfig:
 
     params: PlantParams = DEFAULT_PARAMS
 
+
+# one posterior row, the (4, 2) mean in row-major order, as 64 packed bytes
+_MEAN_ROW = struct.Struct("8d")
 
 # the entries of the fixation Phi that are neither 0 nor 1, in the order of
 # ``_RegimeMatrices.fix_coeffs``
@@ -207,16 +211,19 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
     vel_ok = vel.valid.tolist()
     matrices = _RegimeMatrices(cfg, pi_list)
 
-    # Posterior rows go into a flat float array, 8 per sample, in the
-    # (4, 2) row-major order of a mean; rows before the start are NaN.
+    # Each posterior row is packed into its 64 bytes of a preallocated array
+    # through a byte view, in the (4, 2) row-major order of a mean; rows
+    # before the start stay NaN.
     valid_idx = np.flatnonzero(rec.valid)
     start = int(valid_idx[0]) if valid_idx.size else n
-    flat = array("d", [math.nan]) * (8 * start)
+    posterior = np.full((n, 4, 2), np.nan)
     if start < n:
+        view = memoryview(posterior).cast("B")
+        pack_into = _MEAN_ROW.pack_into
         # The state: the mean (x0, y0, ..., x3, y3), one column per axis,
         # and the upper triangle p00, p01, ..., p33 of the shared covariance.
         mean, cov = _initial_state(float(rec.x[start]), float(rec.y[start]))
-        flat.extend(mean)
+        pack_into(view, _MEAN_ROW.size * start, *mean)
         x0, y0, x1, y1, x2, y2, x3, y3 = mean
         p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
         a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = (
@@ -227,8 +234,9 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
         qf0, qf1, qf2, qf3 = Q_FIXATION
         r0, r1 = MEASUREMENT_NOISE
         columns = (_floats(rec.x), _floats(rec.y), _floats(vel.vx), _floats(vel.vy))
-        samples = zip(saccade.tolist(), sample_ok, vel_ok, *columns)
-        for sac, s_ok, v_ok, zx, zy, zvx, zvy in islice(samples, start + 1, None):
+        offsets = range(0, _MEAN_ROW.size * n, _MEAN_ROW.size)
+        samples = zip(offsets, saccade.tolist(), sample_ok, vel_ok, *columns)
+        for offset, sac, s_ok, v_ok, zx, zy, zvx, zvy in islice(samples, start + 1, None):
             if sac:
                 # T = Phi P, then the upper triangle of T Phi^T + Q
                 t00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
@@ -339,9 +347,8 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
                 p01, p11 = p01 - k00 * p01 - k01 * p11, p11 - k10 * p01 - k11 * p11
                 p02, p12 = p02 - k00 * p02 - k01 * p12, p12 - k10 * p02 - k11 * p12
                 p03, p13 = p03 - k00 * p03 - k01 * p13, p13 - k10 * p03 - k11 * p13
-            flat.extend((x0, y0, x1, y1, x2, y2, x3, y3))
+            pack_into(view, offset, x0, y0, x1, y1, x2, y2, x3, y3)
 
-    posterior = np.frombuffer(flat).reshape(n, 4, 2)
     # The covariance does not depend on the measurements, so a diverged mean
     # cannot make a later step fail first; the first non-finite row is the
     # sample at which a per-sample check would have stopped.

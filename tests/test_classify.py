@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +8,28 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import hysteresis_loop
 from gazecast.classify import (
+    BLINK,
+    FIXATION,
     LARGE_SACCADE,
+    MAX_SACCADE_MS,
     MIN_FIXATION_MS,
+    MIN_SACCADE_MS,
+    ONSET_OFFSET_THRESHOLD,
+    OTHER,
+    PEAK_THRESHOLD,
     SACCADE,
+    UNLABELED,
     EventKind,
     EventSegment,
     SaccadeProps,
     causal_saccade_mask,
     classify_events,
     event_labels,
+    segments_from_labels,
 )
 from gazecast.errors import AlignmentError, ConfigError, InsufficientDataError
 from gazecast.features import fixation_noise_threshold
+from gazecast.plant import SynthConfig, generate_cohort
 from gazecast.signal import DiffConfig, VelocityTrace, compute_velocity, recording_from_arrays
 
 
@@ -118,6 +130,68 @@ class TestClassifyEvents:
         assert_tiling(segs, n)
 
 
+def bool_runs(mask):
+    """Maximal [start, end] index runs where mask is True."""
+    runs, start = [], None
+    for i, m in enumerate([*mask, False]):
+        if m and start is None:
+            start = i
+        elif not m and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    return runs
+
+
+def seed_and_expand_loop(rec, vel):
+    """``classify_events`` by a loop over every grow run, seeded or not."""
+    labels = np.full(rec.n_samples, UNLABELED, dtype=np.int8)
+    labels[~rec.valid] = BLINK
+    v = vel.v_radial
+    seeds = vel.valid & (v > PEAK_THRESHOLD)
+    grow = vel.valid & (v >= ONSET_OFFSET_THRESHOLD)
+    for start, end in bool_runs(grow):
+        if not seeds[start : end + 1].any():
+            continue
+        dur = end - start + 1
+        labels[start : end + 1] = SACCADE if MIN_SACCADE_MS <= dur <= MAX_SACCADE_MS else OTHER
+    for start, end in bool_runs(labels == UNLABELED):
+        labels[start : end + 1] = FIXATION if end - start + 1 >= MIN_FIXATION_MS else OTHER
+    return segments_from_labels(labels, rec.x, rec.y, v)
+
+
+class TestSeededRuns:
+    @pytest.fixture(scope="class")
+    def noisiest(self):
+        """The noisiest subject of a default cohort, sigma 0.8 dva: about
+        1100 grow runs, of which a few dozen hold a seed."""
+        cohort = generate_cohort(SynthConfig(n_subjects=10, duration_s=12.0, rng_seed=1))
+        return max(cohort, key=lambda m: m.noise_sigma).recording
+
+    @pytest.fixture(scope="class")
+    def opkf_reference(self):
+        """The OPKF gate's 1.8 s recording, blinks included."""
+        with np.load(Path(__file__).parent / "data" / "opkf_reference.npz") as data:
+            return recording_from_arrays("ref", data["x"], data["y"], valid=data["valid"])
+
+    @pytest.mark.parametrize("fixture", ["noisiest", "opkf_reference"])
+    @pytest.mark.parametrize("mode", ["centered", "causal"])
+    def test_equals_loop_over_every_grow_run(self, request, fixture, mode):
+        rec = request.getfixturevalue(fixture)
+        vel = compute_velocity(rec, DiffConfig(mode=mode))
+        assert classify_events(rec, vel) == seed_and_expand_loop(rec, vel)
+
+    @given(st.integers(0, 100_000), st.sampled_from(["centered", "causal"]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_loop_on_random_walks(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 300))
+        x = np.cumsum(rng.normal(scale=rng.uniform(0.001, 0.2), size=n))
+        y = np.cumsum(rng.normal(scale=0.05, size=n))
+        rec = recording_from_arrays("s", x, y, rng.uniform(size=n) > 0.03)
+        vel = compute_velocity(rec, DiffConfig(mode=mode))
+        assert classify_events(rec, vel) == seed_and_expand_loop(rec, vel)
+
+
 class TestAgainstGenerator:
     def test_boundaries_near_ground_truth(self):
         from gazecast.plant import DEFAULT_PARAMS, simulate_saccade
@@ -136,8 +210,6 @@ class TestAgainstGenerator:
         assert abs(sacc[0].end_idx - truth_end) <= 4
 
     def test_cohort_detection_f1(self):
-        from gazecast.plant import SynthConfig, generate_cohort
-
         cohort = generate_cohort(SynthConfig(n_subjects=20, duration_s=8.0, rng_seed=21))
         tp = fp = fn = 0
         for member in cohort:

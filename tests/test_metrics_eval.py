@@ -217,6 +217,34 @@ class TestScoreRun:
         for name in M.EVENT_CLASSES:
             assert split[name].tolist() == expected[name], name
 
+    def test_blinks_and_invalid_targets_score_with_fp_errors_raised(self):
+        # ground truth inside blinks and the rows of the baselines issued
+        # there are NaN, so the aligned slices hold NaN rows that the score
+        # must leave out without a floating-point error
+        base = generate_cohort(SynthConfig(n_subjects=1, duration_s=6.0, rng_seed=1))[0].recording
+        valid = base.valid.copy()
+        for start in (0, 1500, 3900):
+            valid[start : start + 120] = False
+        rec = recording_from_arrays("S", base.x, base.y, valid=valid)
+        segs = classify_events(rec, compute_velocity(rec))
+        vel = compute_velocity(rec, CAUSAL)
+        runs = [*opkf_predict_multi(rec, OpkfConfig(), (20, 60)).values()]
+        runs += [baseline_predict(kind, rec, vel, 40) for kind in ("constant-position", "constant-velocity")]
+        for run in runs:
+            pi, n = run.pi_ms, rec.n_samples
+            # flag every issued row, targets inside blinks included
+            issued = np.isfinite(run.predicted).all(axis=1)
+            issued[n - pi :] = False
+            assert np.isnan(run.predicted).any() and (issued[: n - pi] & ~valid[pi:]).any()
+            with np.errstate(all="raise"):
+                table = M.score_run(run_from(run.predicted, issued, pi), rec, segs)
+            # the per-row gather it replaces
+            idx = np.flatnonzero(issued)
+            idx = idx[valid[idx + pi]]
+            dx, dy = run.predicted[idx, 0] - rec.x[idx + pi], run.predicted[idx, 1] - rec.y[idx + pi]
+            np.testing.assert_array_equal(table.sample_idx, idx + pi)
+            np.testing.assert_array_equal(table.error_dva, np.sqrt(dx * dx + dy * dy))
+
     def test_records_nonnegative_finite(self):
         cohort = generate_cohort(SynthConfig(n_subjects=1, duration_s=6.0, rng_seed=1))
         rec = cohort[0].recording

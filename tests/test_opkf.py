@@ -114,6 +114,24 @@ class TestFilterProperties:
         assert np.isnan(run.predicted[:first]).all()
         assert np.isfinite(run.predicted[first:]).all()
 
+    @pytest.mark.parametrize(
+        "valid_at, finite_rows", [((), []), ((0,), range(50)), ((49,), [49])], ids=["none", "first", "last"]
+    )
+    def test_edge_recordings(self, valid_at, finite_rows):
+        # no valid sample, only the first, only the last: the first and the
+        # last posterior rows of a recording, and none at all
+        valid = np.zeros(50, dtype=bool)
+        valid[list(valid_at)] = True
+        x, y = np.linspace(1.0, 2.0, 50), np.linspace(-1.0, 0.0, 50)
+        run = O.opkf_predict_multi(recording_from_arrays("e", x, y, valid=valid), O.OpkfConfig(), (20,))[20]
+        finite = np.isfinite(run.predicted).all(axis=1)
+        assert np.flatnonzero(finite).tolist() == list(finite_rows)
+        assert np.isnan(run.predicted[~finite]).all()
+        assert not run.valid_mask.any()
+        # with no velocity measured, the position held at the start is predicted
+        for i in valid_at:
+            assert (run.predicted[finite] == [x[i], y[i]]).all()
+
     def test_divergence_names_first_bad_sample(self):
         x = np.zeros(200)
         x[120] = 1e308  # finite and valid, so the filter takes it as a measurement
