@@ -25,8 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
-from .signal import GazeRecording, VelocityTrace
+from .signal import GazeRecording, VelocityTrace, check_trace
 
 PEAK_THRESHOLD = 100.0  # dva/s
 ONSET_OFFSET_THRESHOLD = 20.0  # dva/s
@@ -112,10 +111,8 @@ def segments_from_labels(
 
 def classify_events(rec: GazeRecording, vel: VelocityTrace) -> list[EventSegment]:
     """Segment a recording into Fixation / Saccade / Blink / Other."""
+    check_trace(rec, vel)
     n = rec.n_samples
-    if len(vel.v_radial) != n:
-        raise AlignmentError(f"velocity trace has {len(vel.v_radial)} entries for {n} samples")
-
     labels = np.full(n, UNLABELED, dtype=np.int8)
     labels[~rec.valid] = BLINK
 
@@ -166,11 +163,8 @@ def causal_saccade_mask(rec: GazeRecording, vel: VelocityTrace) -> np.ndarray:
     sample turned the state on: it depends only on samples <= t. The
     velocity trace must be causal for that to hold.
     """
+    check_trace(rec, vel, "the online labeler")
     n = rec.n_samples
-    if len(vel.v_radial) != n:
-        raise AlignmentError(f"velocity trace has {len(vel.v_radial)} entries for {n} samples")
-    if vel.cfg.mode != "causal":
-        raise ConfigError(f"the online labeler needs a causal velocity trace, got mode {vel.cfg.mode!r}")
     v = vel.v_radial
     on = rec.valid & vel.valid & (v > PEAK_THRESHOLD)
     off = ~rec.valid | (vel.valid & (v < ONSET_OFFSET_THRESHOLD))

@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classify import FIXATION, EventKind, EventSegment, event_labels
-from .errors import AlignmentError, InsufficientDataError
+from .errors import InsufficientDataError
 from .metrics import quantile
-from .signal import GazeRecording, VelocityTrace
+from .signal import GazeRecording, VelocityTrace, check_trace
 
 MIN_SACCADES = 10
 MIN_FIXATION_SAMPLES = 100
@@ -37,10 +37,8 @@ def fixation_noise_threshold(
     rec: GazeRecording, vel: VelocityTrace, segs: list[EventSegment]
 ) -> float:
     """90th percentile of radial velocity over valid fixation samples."""
-    n = rec.n_samples
-    if len(vel.v_radial) != n:
-        raise AlignmentError("velocity trace misaligned with recording")
-    values = vel.v_radial[(event_labels(segs, n) == FIXATION) & vel.valid]
+    check_trace(rec, vel)
+    values = vel.v_radial[(event_labels(segs, rec.n_samples) == FIXATION) & vel.valid]
     if values.size < MIN_FIXATION_SAMPLES:
         raise InsufficientDataError(
             f"need >= {MIN_FIXATION_SAMPLES} valid fixation samples for the noise threshold, got {values.size}"

@@ -20,16 +20,16 @@ Every window is an independent recurrence, so the forward and BPTT loops of
 a pass run on column blocks of the batch, at least ``BLOCK_MIN`` windows
 wide and one per usable CPU divided by the thread count of the OpenBLAS
 bundled with numpy (by 1 where that count cannot be read): the calling
-thread runs the first block and a pool, made on first use, the rest. numpy's
-matmul and ufuncs release the interpreter lock while they compute. A block
-works in its own contiguous rows of the pass block's scratch, where numpy's
-elementwise calls run about three times faster than on the strided per-step
-slots, and writes every per-step temporary there through ``out=``. The head
-and the loss run on the whole batch in the calling thread, each layer's
-weight gradient is one product over the whole batch (the two layers' on two
-threads), and the matmuls of the loops respect ``BLOCK_ALIGN``, so every
-result is the same for any number of blocks. One block is the loop in the
-calling thread.
+thread runs the first block and an executor made for the call the rest, so
+no thread outlives a pass. numpy's matmul and ufuncs release the interpreter
+lock while they compute. A block works in its own contiguous rows of the
+pass block's scratch, where numpy's elementwise calls run about three times
+faster than on the strided per-step slots, and writes every per-step
+temporary there through ``out=``. The head and the loss run on the whole
+batch in the calling thread, each layer's weight gradient is one product
+over the whole batch (the two layers' on two threads), and the matmuls of
+the loops respect ``BLOCK_ALIGN``, so every result is the same for any
+number of blocks. One block is the loop in the calling thread.
 
 Training copies each step's operands, gates and cell states out to views of
 one mapped pass block; BPTT turns each step's gates into their gradients,
@@ -49,7 +49,7 @@ import ctypes
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, DivergenceError, EmptyInputError, check_int
 from .metrics import PredictionRun, _check_pi
-from .signal import GazeRecording, VelocityTrace
+from .signal import GazeRecording, VelocityTrace, check_trace
 
 WINDOW_SAMPLES = 100
 HIDDEN = 32
@@ -149,17 +149,9 @@ class WindowBatch:
         return WindowBatch(inputs, self.targets[rows], self.end_indices[rows])
 
 
-def _check_causal(rec: GazeRecording, vel: VelocityTrace, user: str) -> None:
-    if len(vel.vx) != rec.n_samples:
-        raise AlignmentError("velocity trace misaligned with recording")
-    if vel.cfg.mode != "causal":
-        # a centered trace looks ahead, so a prediction from it would see the future
-        raise ConfigError(f"{user} needs a causal velocity trace, got mode {vel.cfg.mode!r}")
-
-
 def _valid_window_ends(rec: GazeRecording, vel: VelocityTrace) -> np.ndarray:
     """Window-end indices whose trailing 100 samples are all usable."""
-    _check_causal(rec, vel, "an LSTM window")
+    check_trace(rec, vel, "an LSTM window")
     n = rec.n_samples
     ok = vel.valid & rec.valid
     csum = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
@@ -218,7 +210,6 @@ class LstmModel:
                     f"parameter {name} has shape {params[name].shape}, expected {shape}"
                 )
         self.params = {name: np.asarray(params[name], dtype=float) for name in PARAM_SHAPES}
-        self.input_scale = INPUT_SCALE
 
     @classmethod
     def init_seeded(cls, rng_seed: int) -> "LstmModel":
@@ -352,28 +343,19 @@ def _n_blocks(b: int) -> int:
     return max(1, min(cpus, b // BLOCK_MIN))
 
 
-@cache
-def _pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="gazecast-lstm")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool object but none of its threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _run_tasks(tasks) -> None:
-    """Run tasks[0] in this thread and the rest on the pool.
+    """Run tasks[0] in this thread and the rest on an executor of their own.
 
     Every task has finished when this returns or raises, so none still
     writes into arrays the caller goes on to read. The first failure is
     raised with its own type.
     """
-    futures = [_pool().submit(task) for task in tasks[1:]]
-    try:
+    if len(tasks) == 1:  # ThreadPoolExecutor(0) raises
         tasks[0]()
-    finally:
-        wait(futures)
+        return
+    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="gazecast-lstm") as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
+        tasks[0]()
     for future in futures:
         future.result()
 
@@ -461,7 +443,7 @@ def _forward(model: LstmModel, xs: np.ndarray, want_cache: bool, block: _PassBlo
     layers = _fused_layers(model.params)
     if block is None:
         block = _pass_block(t_len if want_cache else 0, b)
-    _run_blocks(partial(_forward_block, layers, xs, model.input_scale, block, want_cache), b)
+    _run_blocks(partial(_forward_block, layers, xs, INPUT_SCALE, block, want_cache), b)
 
     p = model.params
     h_last = block.h_last.T
@@ -485,16 +467,15 @@ def _window_array(inputs) -> np.ndarray:
 
 
 def lstm_forward(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
-    """Predict displacement for one window (T, 2) or a batch (B, T, 2).
+    """Predict displacement for a batch of windows (B, T, 2).
 
     Each forward pass takes at most INFER_CHUNK windows.
     """
-    single = np.ndim(inputs) == 2
-    xs = _window_array(np.asarray(inputs)[None] if single else inputs)
+    xs = _window_array(inputs)
     pred = np.empty((len(xs), 2))
     for s in range(0, len(xs), INFER_CHUNK):
         pred[s : s + INFER_CHUNK] = _forward(model, xs[s : s + INFER_CHUNK], False)[0]
-    return pred[0] if single else pred
+    return pred
 
 
 def _loss_grad_from_pred(pred: np.ndarray, targets: np.ndarray):
@@ -739,7 +720,7 @@ def baseline_predict(kind: str, rec: GazeRecording, vel: VelocityTrace | None, p
     elif kind == "constant-velocity":
         if vel is None:
             raise ConfigError("constant-velocity needs a velocity trace")
-        _check_causal(rec, vel, "constant-velocity")
+        check_trace(rec, vel, "constant-velocity")
         issued = rec.valid & vel.valid
         dt_s = pi_ms / 1000.0
         x, y = rec.x + vel.vx * dt_s, rec.y + vel.vy * dt_s

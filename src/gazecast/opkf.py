@@ -383,12 +383,12 @@ class NMResult:
     converged: bool
 
 
-def nelder_mead(objective, x0, max_evals: int | None = None) -> NMResult:
+def nelder_mead(objective, x0, max_evals: int) -> NMResult:
     """Downhill simplex: reflect / expand / contract / shrink.
 
     Stops when the simplex's relative size drops below NM_SIZE_TOL or the
-    evaluation budget (default 500 per dimension) runs out. The budget is a
-    hard cap on objective calls: an integer that covers the first simplex.
+    evaluation budget ``max_evals`` runs out. The budget is a hard cap on
+    objective calls: an integer that covers the first simplex.
     Always returns the best vertex seen. Vertices where the objective is
     non-finite act as infinite barriers; if the whole initial simplex is
     non-finite, that is an initialization error.
@@ -397,13 +397,12 @@ def nelder_mead(objective, x0, max_evals: int | None = None) -> NMResult:
     n = x0.size
     if n < 1:
         raise ConfigError("need at least one parameter")
-    budget = max_evals if max_evals is not None else 500 * n
-    check_int("max_evals", budget, n + 1)  # the first simplex takes n + 1
+    check_int("max_evals", max_evals, n + 1)  # the first simplex takes n + 1
     evals = 0
 
     def f(x):
         nonlocal evals
-        if evals == budget:
+        if evals == max_evals:
             raise _BudgetSpent
         evals += 1
         try:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .classify import FIXATION, ONSET_OFFSET_THRESHOLD, SACCADE, EventSegment, segments_from_labels
+from .classify import FIXATION, ONSET_OFFSET_THRESHOLD, SACCADE, EventSegment, _runs, segments_from_labels
 from .errors import ConfigError, InstabilityError, check_int
 from .signal import GazeRecording, recording_from_arrays
 
@@ -394,17 +394,10 @@ def _simulate_subject(
     v_true = np.hypot(wx, wy)
     for onset, end in sacc_windows:
         seg_v = v_true[onset : end + 1]
-        fast = seg_v >= ONSET_OFFSET_THRESHOLD
-        if not fast.any():
-            continue
-        peak = int(np.argmax(seg_v))
-        lo = peak
-        while lo > 0 and fast[lo - 1]:
-            lo -= 1
-        hi = peak
-        while hi + 1 < len(fast) and fast[hi + 1]:
-            hi += 1
-        labels[onset + lo : onset + hi + 1] = SACCADE
+        starts, stops = _runs(seg_v >= ONSET_OFFSET_THRESHOLD)
+        if starts.size:
+            k = np.searchsorted(stops, np.argmax(seg_v), side="right")  # the run holding the peak
+            labels[onset + starts[k] : onset + stops[k]] = SACCADE
 
     truth = segments_from_labels(labels, x, y, v_true)
 

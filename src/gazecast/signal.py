@@ -144,6 +144,16 @@ class VelocityTrace:
             raise AlignmentError("velocity arrays have mismatched lengths")
 
 
+def check_trace(rec: GazeRecording, vel: VelocityTrace, causal_for: str | None = None) -> None:
+    """Raise unless ``vel`` has one entry per sample of ``rec`` and, where
+    ``causal_for`` names a user that must not see the future, is causal."""
+    if len(vel.vx) != rec.n_samples:
+        raise AlignmentError(f"velocity trace has {len(vel.vx)} entries for {rec.n_samples} samples")
+    if causal_for is not None and vel.cfg.mode != "causal":
+        # a centered trace looks ahead, so a prediction from it would see the future
+        raise ConfigError(f"{causal_for} needs a causal velocity trace, got mode {vel.cfg.mode!r}")
+
+
 def compute_velocity(rec: GazeRecording, cfg: DiffConfig = DiffConfig()) -> VelocityTrace:
     """Savitzky-Golay first derivative of gaze position, in dva/s.
 

@@ -157,7 +157,7 @@ class TestForward:
 
     def test_zero_network_outputs_zero(self):
         model = L.LstmModel({k: np.zeros(s) for k, s in L.PARAM_SHAPES.items()})
-        out = L.lstm_forward(model, np.random.default_rng(0).normal(size=(100, 2)))
+        out = L.lstm_forward(model, np.random.default_rng(0).normal(size=(100, 2))[None])[0]
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_golden_scalar_reference(self):
@@ -167,7 +167,7 @@ class TestForward:
         model = L.LstmModel.init_seeded(123)
         k = np.arange(100)
         win = np.column_stack([120.0 * np.sin(k / 7.0), 80.0 * np.cos(k / 13.0)])
-        out = L.lstm_forward(model, win)
+        out = L.lstm_forward(model, win[None])[0]
         assert abs(out[0] - golden[0]) < 1e-12
         assert abs(out[1] - golden[1]) < 1e-12
 
@@ -178,7 +178,7 @@ class TestForward:
         h = L.HIDDEN
         h1, c1, h2, c2 = [0.0] * h, [0.0] * h, [0.0] * h, [0.0] * h
         for t in range(100):
-            xin = [win[t, 0] * model.input_scale, win[t, 1] * model.input_scale]
+            xin = [win[t, 0] * L.INPUT_SCALE, win[t, 1] * L.INPUT_SCALE]
             for wx, wh, b, hs, cs, src in (
                 ("lstm1.Wx", "lstm1.Wh", "lstm1.b", h1, c1, xin),
                 ("lstm2.Wx", "lstm2.Wh", "lstm2.b", h2, c2, h1),
@@ -211,7 +211,7 @@ class TestForward:
         xs = rng.normal(scale=100.0, size=(4, 100, 2))
         batch = L.lstm_forward(model, xs)
         for i in range(4):
-            assert np.allclose(L.lstm_forward(model, xs[i]), batch[i], atol=1e-12)
+            assert np.allclose(L.lstm_forward(model, xs[i : i + 1])[0], batch[i], atol=1e-12)
 
     def test_forward_passes_at_most_infer_chunk_windows(self, monkeypatch):
         model = L.LstmModel.init_seeded(4)
@@ -236,6 +236,8 @@ class TestForward:
             L.lstm_forward(model, np.zeros((100, 3)))
         with pytest.raises(ConfigError):
             L.lstm_forward(model, np.zeros(100))
+        with pytest.raises(ConfigError):
+            L.lstm_forward(model, np.zeros((100, 2)))
 
     def test_missing_or_misshapen_params(self):
         good = L.LstmModel.init_seeded(0).params
@@ -533,7 +535,7 @@ class TestEvaluateLoss:
     def test_many_passes_give_the_mean_distance(self, monkeypatch):
         model = L.LstmModel.init_seeded(5)
         wb = self.windows(50)
-        pred = np.array([L.lstm_forward(model, x) for x in wb.inputs])
+        pred = np.array([L.lstm_forward(model, x[None])[0] for x in wb.inputs])
         mean = float(np.mean(np.hypot(*(pred - wb.targets).T)))
         monkeypatch.setattr(L, "INFER_CHUNK", 16)
         assert L.evaluate_loss(model, wb) == pytest.approx(mean, rel=1e-12)
@@ -620,7 +622,7 @@ class TestTraining:
         assert L.evaluate_loss(model, val) == pytest.approx(best, abs=1e-12)
         assert res.history[res.best_epoch].val_loss == pytest.approx(best, abs=0)
 
-    def test_toy_corpus_converges_to_analytic_displacement(self):
+    def test_toy_corpus_converges_to_analytic_displacement(self, monkeypatch):
         # constant-velocity corpus: every window's true displacement is v*PI
         grid = np.linspace(-10, 10, 5)
         wb = concat([ramp_windows(vx, vy) for vx in grid for vy in grid])
@@ -628,7 +630,7 @@ class TestTraining:
         n_hold = len(wb) // 5
         hold, train = wb[order[:n_hold]], wb[order[n_hold:]]
         model = L.LstmModel.init_seeded(3)
-        model.input_scale = 3e-2  # slow-velocity corpus: keep gates off the flat region
+        monkeypatch.setattr(L, "INPUT_SCALE", 3e-2)  # slow-velocity corpus: keep gates off the flat region
         cfg = L.TrainConfig(batch_size=256, lr=3e-3, epochs=50, patience=50, rng_seed=7)
         res = L.lstm_train(model, train, cfg, val_windows=hold)
         assert res.history[-1].train_loss < res.history[0].train_loss

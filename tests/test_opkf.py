@@ -749,7 +749,7 @@ class TestFilterLoop:
 class TestNelderMead:
     def test_quadratic(self):
         target = np.array([1.5, -2.0, 0.5])
-        res = O.nelder_mead(lambda v: float(np.sum((v - target) ** 2)), np.zeros(3))
+        res = O.nelder_mead(lambda v: float(np.sum((v - target) ** 2)), np.zeros(3), max_evals=1500)
         assert res.converged
         np.testing.assert_allclose(res.x, target, atol=1e-4)
         assert res.fun < 1e-8
@@ -758,7 +758,7 @@ class TestNelderMead:
         def rosen(v):
             return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
 
-        res = O.nelder_mead(rosen, [-1.2, 1.0])
+        res = O.nelder_mead(rosen, [-1.2, 1.0], max_evals=1000)
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
         assert res.n_evals <= 1000

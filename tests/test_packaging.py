@@ -32,7 +32,8 @@ def printed_by(code: str):
 
     src = str(Path(gazecast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # the timeout turns a hang into a failure
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
@@ -57,27 +58,53 @@ def test_learned_needs_no_kalman_filter():
 
 
 def test_no_thread_starts_where_none_is_needed():
-    # the LSTM's column-block pool starts with the first pass wide enough
-    # to split; importing, the baselines and a narrow pass start no thread
+    # importing, the baselines and a narrow pass start no thread; a pass of
+    # two column blocks starts one, which has ended when the pass returns.
+    # Each entry is (threads started so far, threads running).
     code = (
         "import threading\n"
         "import numpy as np\n"
         "from gazecast import learned, signal\n"
-        "counts = [threading.active_count()]\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]\n"
+        "counts = [(len(started), threading.active_count())]\n"
         "rec = signal.recording_from_arrays('S', np.arange(300) / 100.0, np.zeros(300))\n"
         "vel = signal.compute_velocity(rec, signal.DiffConfig(mode='causal'))\n"
         "learned.baseline_predict('constant-velocity', rec, vel, 40)\n"
         "learned.baseline_predict('constant-position', rec, None, 40)\n"
-        "counts.append(threading.active_count())\n"
+        "counts.append((len(started), threading.active_count()))\n"
         "model = learned.LstmModel.init_seeded(0)\n"
         "learned.lstm_forward(model, np.zeros((learned.BLOCK_MIN, 10, 2)))\n"
-        "counts.append(threading.active_count())\n"
+        "counts.append((len(started), threading.active_count()))\n"
         "learned._n_blocks = lambda b: 2\n"
         "learned.lstm_forward(model, np.zeros((learned.BLOCK_MIN, 10, 2)))\n"
-        "counts.append(threading.active_count())\n"
+        "counts.append((len(started), threading.active_count()))\n"
         "print(counts)\n"
     )
-    assert printed_by(code) == [1, 1, 1, 2]
+    assert printed_by(code) == [(0, 1), (0, 1), (0, 1), (1, 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_wide_pass_in_a_child_forked_after_one():
+    # a child forked after a wide pass inherits no executor of the parent's,
+    # and its own wide pass gives the parent's result. The alarm ends a hung
+    # child, which the subprocess timeout would leave running.
+    code = (
+        "import os, signal\n"
+        "import numpy as np\n"
+        "from gazecast import learned\n"
+        "learned._n_blocks = lambda b: 2\n"
+        "model = learned.LstmModel.init_seeded(0)\n"
+        "xs = np.random.default_rng(1).normal(scale=100.0, size=(2 * learned.BLOCK_MIN, 10, 2))\n"
+        "want = learned.lstm_forward(model, xs)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(60)\n"
+        "    os._exit(0 if np.array_equal(learned.lstm_forward(model, xs), want) else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    assert printed_by(code) == 0
 
 
 def test_no_unused_import():
