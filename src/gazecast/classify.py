@@ -45,7 +45,6 @@ class EventKind(str, Enum):
 @dataclass(frozen=True)
 class SaccadeProps:
     amplitude_dva: float
-    duration_ms: int
     peak_vel: float
     mean_vel: float
 
@@ -101,7 +100,6 @@ def segments_from_labels(
             seg_v = v[s : e + 1]
             props = SaccadeProps(
                 amplitude_dva=float(np.hypot(x[e] - x[s], y[e] - y[s])),
-                duration_ms=int(e - s + 1),
                 peak_vel=float(np.max(seg_v)),
                 mean_vel=float(np.mean(seg_v)),
             )

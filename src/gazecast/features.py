@@ -56,7 +56,7 @@ def _saccade_segs(segs: list[EventSegment]) -> list[EventSegment]:
 def pk_vel_dur_ratio_r_md(segs: list[EventSegment]) -> float:
     """Median across saccades of peak radial velocity / duration in ms."""
     sacc = _saccade_segs(segs)
-    return quantile([s.props.peak_vel / s.props.duration_ms for s in sacc], 0.5)
+    return quantile([s.props.peak_vel / s.n_samples for s in sacc], 0.5)
 
 
 def mn_vel_r_md(segs: list[EventSegment]) -> float:

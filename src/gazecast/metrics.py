@@ -5,8 +5,8 @@ The first half of this module is small, self-contained statistics
 directly from their defining formulas. The second half defines the
 ``PredictionRun`` that every predictor returns, scores runs against ground
 truth into a two-column table (target sample, error) and aggregates those
-errors per event class and subject; event classes come from the segments,
-expanded once per call.
+errors per event class and subject; event classes are per-sample masks
+expanded from the segments by ``class_masks``.
 """
 
 from __future__ import annotations
@@ -259,37 +259,40 @@ def score_run(run: PredictionRun, rec: GazeRecording, segs: Sequence[EventSegmen
     return ScoredRun(idx + pi, err)
 
 
-def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
-    """Split scored errors into the five reporting classes.
+def class_masks(segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
+    """Per-sample masks of the four event classes over the tiled samples.
 
-    "cep" selects rows in a post-saccadic window regardless of their own
-    event kind: the latest saccade or blink sample at or before the row's
-    target sample is a saccade sample 1 to CEP_WINDOW_MS samples earlier,
-    so a window stops at the next saccade or blink. The other classes
-    select by the label of the row's target sample. A row whose sample
-    index lies outside the segments raises AlignmentError.
+    A sample is "cep", whatever its own label, when the latest saccade or
+    blink sample at or before it is a saccade sample 1 to CEP_WINDOW_MS
+    samples earlier; the other classes are the sample's own label.
     """
     n = segs[-1].end_idx + 1 if segs else 0
+    labels = event_labels(segs, n)
+    saccade = (labels == SACCADE) | (labels == LARGE_SACCADE)
+    idx = np.arange(n)
+    latest = np.maximum.accumulate(np.where(saccade | (labels == BLINK), idx, -1))
+    lag = idx - latest
+    return {
+        "fixation": labels == FIXATION,
+        "small_saccade": labels == SACCADE,
+        "large_saccade": labels == LARGE_SACCADE,
+        "cep": (latest >= 0) & saccade[latest] & (lag >= 1) & (lag <= CEP_WINDOW_MS),
+    }
+
+
+def class_errors(scored: ScoredRun, segs: Sequence[EventSegment]) -> dict[str, np.ndarray]:
+    """Split scored errors by the ``class_masks`` classes of their target
+    samples, plus "all"; a target outside the segments raises AlignmentError."""
+    masks = class_masks(segs)
+    n = len(masks["cep"])
     idxs = scored.sample_idx
     outside = (idxs < 0) | (idxs >= n)
     if outside.any():
         raise AlignmentError(
             f"scored sample_idx {int(idxs[outside][0])} lies outside the {n} segmented samples"
         )
-    labels = event_labels(segs, n)
-    saccade = (labels == SACCADE) | (labels == LARGE_SACCADE)
-    latest = np.maximum.accumulate(np.where(saccade | (labels == BLINK), np.arange(n), -1))[idxs]
-    lag = idxs - latest
-    in_cep = (latest >= 0) & saccade[latest] & (lag >= 1) & (lag <= CEP_WINDOW_MS)
-    kind = labels[idxs]
     err = scored.error_dva
-    return {
-        "fixation": err[kind == FIXATION],
-        "small_saccade": err[kind == SACCADE],
-        "large_saccade": err[kind == LARGE_SACCADE],
-        "cep": err[in_cep],
-        "all": err,
-    }
+    return {name: err[mask[idxs]] for name, mask in masks.items()} | {"all": err}
 
 
 # ---------------------------------------------------------------------------

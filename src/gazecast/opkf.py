@@ -64,7 +64,7 @@ import numpy as np
 
 from .classify import EventKind, EventSegment, causal_saccade_mask
 from .errors import ConfigError, FitError, InstabilityError, InsufficientDataError, check_int
-from .metrics import CEP_WINDOW_MS, PredictionRun, _check_pi, score_run
+from .metrics import CEP_WINDOW_MS, PredictionRun, _check_pi, class_masks, score_run
 from .plant import DEFAULT_PARAMS, PlantParams, transition_matrices
 from .signal import DiffConfig, GazeRecording, VelocityTrace, compute_velocity
 
@@ -350,10 +350,10 @@ def _filter_pass(rec, cfg, pi_list, vel, saccade) -> dict[int, PredictionRun]:
             pack_into(view, offset, x0, y0, x1, y1, x2, y2, x3, y3)
 
     # The covariance does not depend on the measurements, so a diverged mean
-    # cannot make a later step fail first; the first non-finite row is the
-    # sample at which a per-sample check would have stopped.
-    finite = np.isfinite(posterior[start:]).all(axis=(1, 2))
-    if not finite.all():
+    # cannot make a later step fail first: the first non-finite row, sought
+    # only when some value is not finite, is where a per-sample check stops.
+    if not np.isfinite(posterior[start:]).all():
+        finite = np.isfinite(posterior[start:]).all(axis=(1, 2))
         raise InstabilityError(f"filter diverged at sample {start + int(np.argmin(finite))}")
 
     in_saccade = saccade[:, None]
@@ -514,31 +514,28 @@ def fit_subject_params(
     at base, since it would only rescale K and B.
 
     The objective is the mean ``pi_ms``-ahead error, as ``score_run``
-    scores it, over targets in the first 40% of detected saccades and the
-    ``CEP_WINDOW_MS`` samples after each, of the filter with the candidate
-    plant and the module's noise constants, run from the start of the
-    recording. Unlike the "cep" class of ``class_errors``, those samples
-    are not cut at the next saccade or blink. The velocity and regime
-    labels are computed once, and so is the base set's error, which the
-    first simplex vertex reuses. Returns the fitted parameters only when
-    they score better than the base set on calibration.
+    scores it, of the filter with the candidate plant and the module's
+    noise constants, run from the start of the recording to
+    ``CEP_WINDOW_MS`` + ``pi_ms`` samples past the first 40% of detected
+    saccades. Its targets, in sample order, are that prefix's saccade and
+    CEP samples as ``metrics.class_masks`` defines them. The velocity and
+    regime labels are computed once, and so is the base set's error, which
+    the first simplex vertex reuses. Returns the fitted parameters only
+    when they score better than the base set on calibration.
     """
     check_int("max_evals", max_evals, 5)  # the first simplex takes 4 + 1
     _check_pi(pi_ms)
     sacc = [s for s in segs if s.kind is EventKind.SACCADE]
     if len(sacc) < 10:
         raise InsufficientDataError(f"need >= 10 saccades to fit, got {len(sacc)}")
-    n_cal = max(1, int(CALIBRATION_FRACTION * len(sacc)))
-    cal = sacc[:n_cal]
-    cal_end = min(cal[-1].end_idx + CEP_WINDOW_MS + pi_ms + 1, rec.n_samples)
-
-    target_mask = np.zeros(cal_end, dtype=bool)
-    for s in cal:
-        target_mask[s.start_idx : s.end_idx + CEP_WINDOW_MS + 1] = True
+    n_cal = int(CALIBRATION_FRACTION * len(sacc))  # at least 4
+    cal_end = min(sacc[n_cal - 1].end_idx + CEP_WINDOW_MS + pi_ms + 1, rec.n_samples)
 
     prefix = replace(rec, **{k: getattr(rec, k)[:cal_end] for k in ("x", "y", "valid")})
     prefix_segs = [s for s in segs if s.start_idx < cal_end]
     prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
+    masks = class_masks(prefix_segs)
+    target_mask = masks["small_saccade"] | masks["large_saccade"] | masks["cep"]
     vel, saccade = _regime_inputs(prefix)
 
     def error_of(params: PlantParams) -> float:

@@ -237,7 +237,7 @@ class TestSaccadeClass:
     def test_split(self):
         amplitudes = (9.99, 10.0, 21.5)
         segs = [
-            EventSegment(EventKind.SACCADE, i, i, SaccadeProps(amp, 1, 200.0, 100.0))
+            EventSegment(EventKind.SACCADE, i, i, SaccadeProps(amp, 200.0, 100.0))
             for i, amp in enumerate(amplitudes)
         ]
         assert event_labels(segs, 3).tolist() == [SACCADE, LARGE_SACCADE, LARGE_SACCADE]

@@ -21,7 +21,6 @@ def sacc_seg(start, peak, mean, count):
         start + count - 1,
         SaccadeProps(
             amplitude_dva=5.0,
-            duration_ms=count,
             peak_vel=peak,
             mean_vel=mean,
         ),

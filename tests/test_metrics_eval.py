@@ -23,14 +23,14 @@ from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 CAUSAL = DiffConfig(mode="causal")
 
 
-def sacc_props(amp, dur=20):
-    return SaccadeProps(amplitude_dva=amp, duration_ms=dur, peak_vel=40.0 * amp, mean_vel=20.0 * amp)
+def sacc_props(amp):
+    return SaccadeProps(amplitude_dva=amp, peak_vel=40.0 * amp, mean_vel=20.0 * amp)
 
 
 def three_part_segs(n=300, sac=(150, 169), amp=12.0):
     return [
         EventSegment(EventKind.FIXATION, 0, sac[0] - 1),
-        EventSegment(EventKind.SACCADE, sac[0], sac[1], sacc_props(amp, sac[1] - sac[0] + 1)),
+        EventSegment(EventKind.SACCADE, sac[0], sac[1], sacc_props(amp)),
         EventSegment(EventKind.FIXATION, sac[1] + 1, n - 1),
     ]
 
@@ -169,7 +169,7 @@ class TestScoreRun:
     def test_class_errors_match_per_sample_loop(self, spans, seed, data):
         segs, pos = [], 0
         for kind, length, amp in spans:
-            props = sacc_props(amp, length) if kind is EventKind.SACCADE else None
+            props = sacc_props(amp) if kind is EventKind.SACCADE else None
             segs.append(EventSegment(kind, pos, pos + length - 1, props))
             pos += length
         n = pos
@@ -184,19 +184,14 @@ class TestScoreRun:
         mask[: n - pi] = rng.random(n - pi) < 0.7
 
         seg_of = [s for s in segs for _ in range(s.n_samples)]
-        expected = {name: [] for name in M.EVENT_CLASSES}
-        for i in range(n - pi):
-            t = i + pi
-            if not (mask[i] and rec.valid[t]):
-                continue
-            dx, dy = predicted[i, 0] - rec.x[t], predicted[i, 1] - rec.y[t]
-            err = float(np.sqrt(dx * dx + dy * dy))
-            seg = seg_of[t]
+        classes_of = []  # the classes of each sample, one at a time
+        for t, seg in enumerate(seg_of):
+            classes = []
             if seg.kind is EventKind.FIXATION:
-                expected["fixation"].append(err)
+                classes.append("fixation")
             elif seg.kind is EventKind.SACCADE:
                 big = seg.props.amplitude_dva >= 10.0
-                expected["large_saccade" if big else "small_saccade"].append(err)
+                classes.append("large_saccade" if big else "small_saccade")
             # post-saccadic: a saccade ended within the last 100 samples and
             # no saccade or blink sample lies between its end and t
             for j in range(t, max(t - 100, 0) - 1, -1):
@@ -204,9 +199,23 @@ class TestScoreRun:
                 if kind is EventKind.BLINK or (kind is EventKind.SACCADE and j == t):
                     break
                 if kind is EventKind.SACCADE:
-                    expected["cep"].append(err)
+                    classes.append("cep")
                     break
-            expected["all"].append(err)
+            classes_of.append(classes)
+        masks = M.class_masks(segs)
+        assert list(masks) == list(M.EVENT_CLASSES[:-1])
+        for name, got in masks.items():
+            assert got.tolist() == [name in classes for classes in classes_of], name
+
+        expected = {name: [] for name in M.EVENT_CLASSES}
+        for i in range(n - pi):
+            t = i + pi
+            if not (mask[i] and rec.valid[t]):
+                continue
+            dx, dy = predicted[i, 0] - rec.x[t], predicted[i, 1] - rec.y[t]
+            err = float(np.sqrt(dx * dx + dy * dy))
+            for name in classes_of[t] + ["all"]:
+                expected[name].append(err)
 
         table = M.score_run(run_from(predicted, mask, pi), rec, segs)
         assert len(table) == len(expected["all"])

@@ -15,7 +15,7 @@ from conftest import hysteresis_loop
 from gazecast import opkf as O
 from gazecast.classify import EventKind, causal_saccade_mask, classify_events
 from gazecast.errors import ConfigError, InstabilityError
-from gazecast.metrics import CEP_WINDOW_MS, PredictionRun, ScoredRun, class_errors, score_run
+from gazecast.metrics import CEP_WINDOW_MS, PredictionRun, ScoredRun, class_errors, class_masks, score_run
 from gazecast.plant import DEFAULT_PARAMS, PlantParams, SynthConfig, generate_cohort
 from gazecast.signal import DiffConfig, compute_velocity, recording_from_arrays
 
@@ -890,6 +890,28 @@ class TestFit:
         rec, segs = subject
         with pytest.raises(ConfigError, match="pi_ms"):
             O.fit_subject_params(rec, segs, max_evals=15, pi_ms=pi_ms)
+
+    def test_targets_are_the_prefix_saccade_and_cep_classes(self, subject):
+        # a blink inside a calibration saccade's post-saccadic window ends
+        # that window for the fit as it does for scoring
+        rec, segs = subject
+        end = [s for s in segs if s.kind is EventKind.SACCADE][1].end_idx
+        valid = rec.valid.copy()
+        valid[end + 40 : end + 60] = False
+        rec = recording_from_arrays("blink", rec.x, rec.y, valid=valid)
+        segs = classify_events(rec, compute_velocity(rec))
+        sacc = [s for s in segs if s.kind is EventKind.SACCADE]
+        n_cal = int(O.CALIBRATION_FRACTION * len(sacc))
+        assert len(sacc) >= 10 and sacc[1].end_idx == end and n_cal > 1
+        cal_end = sacc[n_cal - 1].end_idx + CEP_WINDOW_MS + 40 + 1
+        prefix = recording_from_arrays("blink", rec.x[:cal_end], rec.y[:cal_end], valid=valid[:cal_end])
+        prefix_segs = [s for s in segs if s.start_idx < cal_end]
+        prefix_segs[-1] = replace(prefix_segs[-1], end_idx=cal_end - 1)
+        masks = class_masks(prefix_segs)
+        targets = masks["small_saccade"] | masks["large_saccade"] | masks["cep"]
+        scored = score_run(O.opkf_predict_multi(prefix, O.OpkfConfig(), (40,))[40], prefix, prefix_segs)
+        want = float(np.mean(scored.error_dva[targets[scored.sample_idx]]))
+        assert O.fit_subject_params(rec, segs, max_evals=5).base_error == want
 
     def test_base_error_pinned(self, fit15):
         # exact, so a change in the filter's rounding shows here
